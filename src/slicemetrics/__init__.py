@@ -14,6 +14,7 @@ such as ``Distribution``, ``PercentChange``, and ``Bootstrap``::
 from .compute import ComputeWarning, EvalContext, compute_on, eval_composite
 from .dsl import DslProgram, parse, print_metric, print_program
 from .errors import (
+    BindError,
     DslError,
     EmptyInput,
     MetricsError,
@@ -61,7 +62,7 @@ from .table import (
 )
 
 __all__ = [
-    "AbsoluteChange", "Bootstrap", "Cell", "Column", "Composite", "ComputeWarning",
+    "AbsoluteChange", "BindError", "Bootstrap", "Cell", "Column", "Composite", "ComputeWarning",
     "Count", "CsvOptions", "Dialect", "Distribution", "DslError", "DslProgram",
     "EmptyInput", "EvalContext", "Jackknife", "Max", "Mean", "Metric", "MetricsError",
     "Min", "NameArityError", "NestedBootstrap", "Operation", "ParseError",

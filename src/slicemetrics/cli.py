@@ -9,7 +9,7 @@ import sys
 from . import dsl
 from . import metrics as m
 from .compute import EvalContext, compute_on
-from .errors import MetricsError, UnknownColumn
+from .errors import MetricsError
 from .sqlgen import Dialect, to_sql
 from .table import CsvOptions, Table, read_csv
 
@@ -36,9 +36,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dialect", choices=["portable", "googlesql"], default="portable")
     parser.add_argument("--seed", type=int, default=0, help="seed for bootstrap resampling")
     parser.add_argument("--format", choices=["csv", "table"], default="csv")
-    parser.add_argument("--n-rep", type=int, default=None,
+    parser.add_argument("--n-rep", type=positive_int, default=None,
                         help="override the replicate count of every bootstrap node")
     return parser
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,7 +76,8 @@ def _run(args) -> int:
 
     table, table_name = _load_input(args)
     if table is not None:
-        _check_columns(metrics, split_by, table)
+        for metric in metrics:
+            m.bind(metric, split_by, table.column_names)
 
     if args.mode == "sql":
         texts = []
@@ -82,33 +90,15 @@ def _run(args) -> int:
     if table is None:
         print("error: --mode compute requires --input", file=sys.stderr)
         return 1
-    ctx = EvalContext(seed=args.seed)
+    ctx = EvalContext()
     frame = compute_on(metrics if len(metrics) > 1 else metrics[0], table, split_by, ctx)
     if args.format == "csv":
         sys.stdout.write(frame.to_csv())
     else:
         sys.stdout.write(frame.to_text())
+    for warning in ctx.warnings:
+        print(f"warning: {warning.kind}: {warning.message}", file=sys.stderr)
     return 0
-
-
-def _check_columns(metrics, split_by, table: Table):
-    for dim in split_by:
-        if not table.has_column(dim):
-            raise UnknownColumn(f"no such column: {dim!r}")
-    for metric in metrics:
-        for node in m.walk(metric):
-            names = []
-            if isinstance(node, m._LeafAggregate):
-                names.append(node.var)
-            elif isinstance(node, m.Distribution):
-                names.append(node.over)
-            elif isinstance(node, m._ChangeOperation):
-                names.append(node.condition)
-            elif isinstance(node, m.Jackknife):
-                names.append(node.unit)
-            for name in names:
-                if not table.has_column(name):
-                    raise UnknownColumn(f"no such column: {name!r}")
 
 
 def _load_input(args) -> tuple[Table | None, str]:

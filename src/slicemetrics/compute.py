@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as m
-from .errors import EmptyInput, TypeMismatch, UnknownColumn
+from .errors import BindError, EmptyInput, TypeMismatch
 from .frames import ResultFrame
 from .table import SliceKey, Table, group_rows, resample_with_replacement
 
@@ -35,17 +35,12 @@ class ComputeWarning:
 
 @dataclass
 class EvalContext:
-    """Mutable evaluation state: RNG, result cache, and diagnostics."""
+    """Mutable evaluation state: result cache and diagnostics."""
 
-    seed: int = 0
     cache_enabled: bool = True
-    rng: random.Random = field(init=False)
     cache: dict = field(default_factory=dict)
     cache_hits: int = 0
     warnings: list[ComputeWarning] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.rng = random.Random(self.seed)
 
     def warn(self, kind: str, message: str):
         self.warnings.append(ComputeWarning(kind, message))
@@ -65,25 +60,16 @@ def compute_on(
     """
     ctx = ctx or EvalContext()
     split_by = tuple(split_by)
-    for dim in split_by:
-        if not table.has_column(dim):
-            raise UnknownColumn(f"no such column: {dim!r}")
-    if isinstance(metric, m.Metric):
-        return _cached_compute(metric, table, split_by, ctx)
-    frames = [_cached_compute(one, table, split_by, ctx) for one in metric]
-    if not frames:
-        raise ValueError("no metrics to compute")
-    return _merge_frames(frames)
+    metrics = [metric] if isinstance(metric, m.Metric) else list(metric)
+    keys = {m.bind(one, split_by, table.column_names) for one in metrics}
+    if len(keys) != 1:
+        raise BindError(f"jointly computed metrics must share one key, got {sorted(keys)}")
+    frames = [_cached_compute(one, table, split_by, ctx) for one in metrics]
+    return frames[0] if isinstance(metric, m.Metric) else _merge_frames(frames)
 
 
 def _merge_frames(frames: list[ResultFrame]) -> ResultFrame:
     keys = frames[0].key_columns
-    for frame in frames[1:]:
-        if frame.key_columns != keys:
-            raise ValueError(
-                "jointly computed metrics must share key columns:"
-                f" {frame.key_columns} != {keys}"
-            )
     value_columns = tuple(n for frame in frames for n in frame.value_columns)
     order: list[SliceKey] = []
     seen: set[SliceKey] = set()
@@ -300,22 +286,19 @@ def _reorder_key(key: SliceKey, key_columns: tuple[str, ...]) -> SliceKey:
 
 
 def _eval_operation(node: m.Operation, table: Table, split_by, ctx: EvalContext) -> ResultFrame:
-    child = node.child
-    if child is None:
-        raise ValueError(f"{type(node).__name__} has no child metric to modify")
     if isinstance(node, m.Distribution):
-        return _eval_distribution(node, child, table, split_by, ctx)
+        return _eval_distribution(node, table, split_by, ctx)
     if isinstance(node, m._ChangeOperation):
-        return _eval_change(node, child, table, split_by, ctx)
+        return _eval_change(node, table, split_by, ctx)
     if isinstance(node, m.Bootstrap):
-        return _eval_bootstrap(node, child, table, split_by, ctx)
+        return _eval_bootstrap(node, table, split_by, ctx)
     if isinstance(node, m.Jackknife):
-        return _eval_jackknife(node, child, table, split_by, ctx)
+        return _eval_jackknife(node, table, split_by, ctx)
     raise TypeError(f"unknown operation: {type(node).__name__}")
 
 
-def _eval_distribution(node, child, table, split_by, ctx):
-    child_frame = _cached_compute(child, table, split_by + (node.over,), ctx)
+def _eval_distribution(node, table, split_by, ctx):
+    child_frame = _cached_compute(node.child, table, split_by + (node.over,), ctx)
     key_columns = split_by + node.extra_dims()
     partition_dims = tuple(k for k in key_columns if k != node.over)
     totals: dict[SliceKey, list[float]] = {}
@@ -336,8 +319,8 @@ def _eval_distribution(node, child, table, split_by, ctx):
     return ResultFrame(key_columns, node.names(), tuple(rows))
 
 
-def _eval_change(node, child, table, split_by, ctx):
-    child_frame = _cached_compute(child, table, split_by + (node.condition,), ctx)
+def _eval_change(node, table, split_by, ctx):
+    child_frame = _cached_compute(node.child, table, split_by + (node.condition,), ctx)
     key_columns = split_by + node.extra_dims()
     residual_dims = tuple(k for k in key_columns if k != node.condition)
     baselines: dict[SliceKey, tuple[float, ...]] = {}
@@ -368,51 +351,46 @@ def _eval_change(node, child, table, split_by, ctx):
     return ResultFrame(key_columns, node.names(), tuple(rows))
 
 
-def _eval_bootstrap(node, child, table, split_by, ctx):
+def _eval_bootstrap(node, table, split_by, ctx):
     if table.row_count == 0:
         raise EmptyInput("bootstrap requires at least one row")
-    samples: dict[SliceKey, list[list[float]]] = {}
-    for i in range(node.n_rep):
-        rng = random.Random(node.seed ^ i)
-        resampled = resample_with_replacement(table, rng)
-        frame = _cached_compute(child, resampled, split_by, ctx)
-        for key, values in frame.rows:
-            per_col = samples.setdefault(key, [[] for _ in values])
-            for col, v in enumerate(values):
-                if not math.isnan(v):
-                    per_col[col].append(v)
-    key_columns = split_by + node.extra_dims()
-    rows = tuple(
-        (key, tuple(_sample_sd(col) for col in per_col)) for key, per_col in samples.items()
+    replicates = (
+        resample_with_replacement(table, random.Random(node.seed ^ i)) for i in range(node.n_rep)
     )
-    return ResultFrame(key_columns, node.names(), rows)
+    return _replicate_se(node, replicates, _sample_sd, split_by, ctx)
 
 
-def _eval_jackknife(node, child, table, split_by, ctx):
-    if not table.has_column(node.unit):
-        raise UnknownColumn(f"no such column: {node.unit!r}")
-    units: list = []
-    for v in table.column(node.unit).values:
-        if v not in units:
-            units.append(v)
-    estimates: dict[SliceKey, list[list[float]]] = {}
-    order: list[SliceKey] = []
+def _eval_jackknife(node, table, split_by, ctx):
     unit_values = table.column(node.unit).values
-    for unit in units:
-        kept = [i for i in range(table.row_count) if unit_values[i] != unit]
-        frame = _cached_compute(child, table.take(kept), split_by, ctx)
-        for key, values in frame.rows:
-            if key not in estimates:
-                estimates[key] = [[] for _ in values]
-                order.append(key)
-            for col, v in enumerate(values):
-                if not math.isnan(v):
-                    estimates[key][col].append(v)
-    key_columns = split_by + node.extra_dims()
-    rows = tuple(
-        (key, tuple(_jackknife_se(col) for col in estimates[key])) for key in order
+    replicates = (
+        table.take([i for i, v in enumerate(unit_values) if v != unit])
+        for unit in dict.fromkeys(unit_values)
     )
-    return ResultFrame(key_columns, node.names(), rows)
+    return _replicate_se(node, replicates, _jackknife_se, split_by, ctx)
+
+
+def _replicate_se(node, tables, se, split_by, ctx: EvalContext) -> ResultFrame:
+    """Per key and value column, ``se`` of the child's finite replicate values.
+
+    Each replicate is a new table, so its cache entries would never hit; it is
+    evaluated uncached. A key that loses a non-finite value gets one warning.
+    """
+    replicate_ctx = EvalContext(cache_enabled=False, warnings=ctx.warnings)
+    samples: dict[SliceKey, list[list[float]]] = {}
+    dropped: dict[SliceKey, int] = {}
+    for part in tables:
+        for key, values in _compute(node.child, part, split_by, replicate_ctx).rows:
+            per_col = samples.setdefault(key, [[] for _ in values])
+            for col, v in zip(per_col, values):
+                if math.isfinite(v):
+                    col.append(v)
+                else:
+                    dropped[key] = dropped.get(key, 0) + 1
+    for key, n in dropped.items():
+        ctx.warn("nonfinite_replicate",
+                 f"dropped {n} non-finite replicate values for slice {key.values!r}")
+    rows = tuple((key, tuple(se(col) for col in per_col)) for key, per_col in samples.items())
+    return ResultFrame(split_by + node.extra_dims(), node.names(), rows)
 
 
 def _quiet(fn, *args, **kwargs) -> float:

@@ -23,6 +23,10 @@ class UnknownColumn(MetricsError):
     """A referenced column does not exist in the table."""
 
 
+class BindError(MetricsError):
+    """A dimension used twice, a childless operation, or joint keys that differ."""
+
+
 class EmptyInput(MetricsError):
     """An operation that requires rows was given an empty table."""
 

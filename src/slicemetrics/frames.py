@@ -35,10 +35,6 @@ class ResultFrame:
                     f" expected {len(self.value_columns)}"
                 )
 
-    def value_map(self) -> dict[tuple[Cell, ...], tuple[float, ...]]:
-        """Key values (ordered per key_columns) to value tuple."""
-        return {key.values: values for key, values in self.rows}
-
     def single_value(self) -> float:
         """The one value of a one-row, one-column frame."""
         if len(self.rows) != 1 or len(self.value_columns) != 1:

@@ -7,9 +7,9 @@ resampling standard errors). Arithmetic on metrics is pointwise: combining two
 metrics and evaluating equals evaluating each and combining the results, slice
 by slice. Operations compose because an operation is itself a metric.
 
-Trees never touch data; binding to a table happens in ``compute`` or in
-``sqlgen``. Every node has a deterministic canonical serialization used for
-cache keys and golden tests.
+Trees never touch data; ``bind`` checks a tree against a split and a schema
+once, for both ``compute`` and ``sqlgen``. Every node has a deterministic
+canonical serialization used for cache keys and golden tests.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .errors import NameArityError
+from .errors import BindError, NameArityError, UnknownColumn
 from .table import Cell
 
 _NAME_OK = re.compile(r"[a-z0-9_]+")
@@ -409,5 +409,39 @@ def walk(metric: Metric):
         yield from walk(child)
 
 
-def contains_operation(metric: Metric) -> bool:
-    return any(isinstance(node, Operation) for node in walk(metric))
+def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
+    """Check a tree against its split and, when given, the input's columns.
+
+    Each child is checked at the split it is evaluated at, so a distribution
+    or change adds its dimension. Raises ``UnknownColumn`` for a column missing
+    from ``columns``, and ``BindError`` for a repeated dimension or an
+    operation without a child. Returns the computed frame's key columns.
+    """
+
+    def read(name: str):
+        if columns is not None and name not in columns:
+            raise UnknownColumn(f"no such column: {name!r}")
+
+    def visit(node: Metric, split: tuple[str, ...]):
+        if isinstance(node, _LeafAggregate):
+            read(node.var)
+        elif isinstance(node, Jackknife):
+            read(node.unit)
+        if isinstance(node, Operation) and node.child is None:
+            raise BindError(f"{type(node).__name__} must modify another metric; pipe one in first")
+        if isinstance(node, (Distribution, _ChangeOperation)):
+            dim = node.over if isinstance(node, Distribution) else node.condition
+            read(dim)
+            if dim in split:
+                raise BindError(f"{type(node).__name__} over {dim!r}, which is already a key")
+            split += (dim,)
+        for child in node.children():
+            visit(child, split)
+
+    split_by = tuple(split_by)
+    for i, dim in enumerate(split_by):
+        read(dim)
+        if dim in split_by[:i]:
+            raise BindError(f"split_by names {dim!r} twice")
+    visit(metric, split_by)
+    return split_by + metric.extra_dims()

@@ -160,6 +160,7 @@ def to_sql(
     statement to the preamble; Jackknife has no SQL form.
     """
     split_by = tuple(split_by)
+    m.bind(metric, split_by)
     text, preamble = _node_to_sql(metric, data, split_by, dialect)
     return SqlQuery(
         text=text,
@@ -184,15 +185,8 @@ def _node_to_sql(metric: m.Metric, data: str, split_by: tuple[str, ...], dialect
     return sql_aggregate(metric, data, split_by, dialect), []
 
 
-def _child_query(node: m.Operation, data: str, split_by: tuple[str, ...], dialect: Dialect):
-    child = node.child
-    if child is None:
-        raise ValueError(f"{type(node).__name__} has no child metric to modify")
-    return _node_to_sql(child, data, split_by, dialect)
-
-
 def _distribution_sql(node: m.Distribution, data, split_by, dialect):
-    child_text, preamble = _child_query(node, data, split_by + (node.over,), dialect)
+    child_text, preamble = _node_to_sql(node.child, data, split_by + (node.over,), dialect)
     dims = node.extra_dims() + split_by
     partition = [quote_ident(d, dialect) for d in dims if d != node.over]
     over = f"PARTITION BY {', '.join(partition)}" if partition else ""
@@ -209,7 +203,7 @@ def _distribution_sql(node: m.Distribution, data, split_by, dialect):
 
 
 def _change_sql(node: m._ChangeOperation, data, split_by, dialect):
-    child_text, preamble = _child_query(node, data, split_by + (node.condition,), dialect)
+    child_text, preamble = _node_to_sql(node.child, data, split_by + (node.condition,), dialect)
     dims = node.extra_dims() + split_by
     join_dims = [d for d in dims if d != node.condition]
     condition = quote_ident(node.condition, dialect)
@@ -223,11 +217,14 @@ def _change_sql(node: m._ChangeOperation, data, split_by, dialect):
     else:
         base_cols = ", ".join([quote_ident(d, dialect) for d in join_dims] + child_names)
     if join_dims:
-        using = ", ".join(quote_ident(d, dialect) for d in join_dims)
-        join = f"T JOIN Base USING ({using})"
+        # Null-safe, and a slice without a baseline row stays (with NULL values).
+        same = "IS" if dialect is Dialect.PORTABLE else "IS NOT DISTINCT FROM"
+        quoted = [quote_ident(d, dialect) for d in join_dims]
+        on = " AND ".join(f"T.{q} {same} Base.{q}" for q in quoted)
+        join = f"T LEFT JOIN Base ON {on}"
     else:
         join = "T CROSS JOIN Base"
-    cols = [quote_ident(d, dialect) for d in dims]
+    cols = [f"T.{quote_ident(d, dialect)}" for d in dims]
     percent = isinstance(node, m.PercentChange)
     for child_name, name in zip(child_names, node.names()):
         if percent:
@@ -248,8 +245,6 @@ def _change_sql(node: m._ChangeOperation, data, split_by, dialect):
 
 def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect):
     child = node.child
-    if child is None:
-        raise ValueError("Bootstrap has no child metric to modify")
     if any(isinstance(n, m.Bootstrap) for n in m.walk(child)):
         raise NestedBootstrap("Bootstrap cannot contain another Bootstrap in SQL generation")
     input_data, samples = resample_n_times_sql(

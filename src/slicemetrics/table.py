@@ -221,9 +221,6 @@ def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[Slic
     under the empty key.
     """
     split_by = tuple(split_by)
-    for name in split_by:
-        if not table.has_column(name):
-            raise UnknownColumn(f"no such column: {name!r}")
     if not split_by:
         return {SliceKey.empty(): table}
     dim_values = [table.column(name).values for name in split_by]

@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 from types import SimpleNamespace
 
+import pytest
+
 from slicemetrics import Count, Sum, compute_on
 from slicemetrics.cli import main
 
@@ -181,6 +183,43 @@ class TestErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["--metric", "sum(x)", "--bogus"])
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--metric", 'sum(lost); sum(lost) | percent_change(experiment, "control")'],
+        ["--metric", "sum(lost)", "--split-by", "region,region"],
+        ["--metric", "sum(lost) | distribution(region)", "--split-by", "region"],
+        ["--metric", "sum(lost) | distribution(region)", "--split-by", "region",
+         "--mode", "sql"],
+    ])
+    def test_unbindable_program_is_user_error(self, capsys, fig2_csv_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--input", fig2_csv_path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_n_rep_below_one_is_user_error(self, capsys, fig2_csv_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--metric", "mean(lost) | bootstrap(10)", "--input", fig2_csv_path,
+                  "--n-rep", "0"])
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 1
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: argument --n-rep: must be at least 1, got 0"
+        ]
+
+    def test_warnings_go_to_stderr(self, capsys, fig2_csv_path):
+        code, out, err = run_cli(
+            capsys,
+            "--metric", 'sum(lost) | percent_change(experiment, "treatment2")',
+            "--input", fig2_csv_path,
+            "--split-by", "region",
+        )
+        assert code == 0
+        assert "EU,control,NaN" in out
+        prefix = "warning: missing_baseline: no experiment='treatment2' row for slice"
+        assert err.splitlines() == [
+            f"{prefix} ('EU', 'control')",
+            f"{prefix} ('EU', 'treatment3')",
+        ]
 
     def test_internal_error_exits_2(self, capsys, fig2_csv_path, monkeypatch):
         import slicemetrics.cli as cli_module

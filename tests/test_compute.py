@@ -7,6 +7,7 @@ import pytest
 
 from slicemetrics import (
     AbsoluteChange,
+    BindError,
     Bootstrap,
     Count,
     Distribution,
@@ -319,6 +320,23 @@ class TestBootstrap:
         )
         assert frame_values(frame)[("control",)] == (0.0,)
 
+    def test_nonfinite_replicates_are_dropped_with_a_warning(self):
+        # A replicate without the one nonzero control row has a control sum
+        # of 0, so its change is inf; the SE uses the other replicates.
+        t = Table.from_dict({
+            "arm": ["c"] * 10 + ["t"] * 10,
+            "x": [0] * 9 + [1] + [1] * 10,
+            "unit": list(range(20)),
+        })
+        ctx = EvalContext()
+        change = Sum("x") | PercentChange("arm", "c")
+        for op in (Bootstrap(50, seed=3), Jackknife("unit")):
+            frame = compute_on(change | op, t, (), ctx)
+            se = frame_values(frame)[("t",)][0]
+            assert math.isfinite(se) and se > 0
+        dropped = [w for w in ctx.warnings if w.kind == "nonfinite_replicate"]
+        assert len(dropped) == 2 and all("('t',)" in w.message for w in dropped)
+
 
 class TestJackknife:
     def test_mean_jackknife_equals_formula_exactly(self):
@@ -405,6 +423,13 @@ class TestSplitting:
     def test_unknown_split_column(self, fig2):
         with pytest.raises(UnknownColumn):
             compute_on(Sum("lost"), fig2, ("nope",))
+
+    def test_joint_metrics_must_share_key_columns(self, fig2):
+        joint = [Sum("lost"), Sum("lost") | PercentChange("experiment", "control")]
+        with pytest.raises(BindError):
+            compute_on(joint, fig2, ("region",))
+        with pytest.raises(BindError):
+            compute_on([], fig2)
 
     def test_joint_compute_merges_columns(self, fig2):
         frame = compute_on([Sum("lost"), Count("lost")], fig2, ("region",))

@@ -6,6 +6,7 @@ import pytest
 
 from slicemetrics import (
     AbsoluteChange,
+    BindError,
     Bootstrap,
     Count,
     Distribution,
@@ -19,12 +20,13 @@ from slicemetrics import (
     ScalarLiteral,
     StdDev,
     Sum,
+    UnknownColumn,
     Variance,
     combine,
     compute_on,
     pipe,
 )
-from slicemetrics.metrics import walk
+from slicemetrics.metrics import bind, walk
 
 from helpers import frame_values, random_table
 
@@ -250,3 +252,40 @@ class TestStructure:
 
     def test_pipe_function_matches_operator(self):
         assert pipe(Sum("x"), Distribution("g")) == (Sum("x") | Distribution("g"))
+
+
+class TestBind:
+    COLUMNS = ("g", "h", "arm", "unit", "x")
+
+    def test_returns_compute_key_columns(self):
+        metric = Sum("x") | Distribution("h") | PercentChange("arm", "c") | Jackknife("unit")
+        assert bind(metric, ["g"], self.COLUMNS) == ("g", "arm", "h")
+        assert bind(Sum("x") / Count("x"), ()) == ()
+
+    @pytest.mark.parametrize("metric, split", [
+        (Sum("nope"), ()),
+        (Sum("x"), ("nope",)),
+        (Sum("x") | Distribution("nope"), ()),
+        (Sum("x") | PercentChange("nope", "c"), ()),
+        (Mean("x") | Jackknife("nope"), ()),
+        (Sum("x") + (Count("nope") | Bootstrap(3)), ()),
+    ])
+    def test_unknown_column_only_against_columns(self, metric, split):
+        with pytest.raises(UnknownColumn, match="nope"):
+            bind(metric, split, self.COLUMNS)
+        bind(metric, split)
+
+    @pytest.mark.parametrize("metric, split", [
+        (Sum("x"), ("g", "g")),
+        (Sum("x") | Distribution("g"), ("g",)),
+        (Sum("x") | PercentChange("arm", "c") | AbsoluteChange("arm", "c"), ()),
+        ((Sum("x") | Distribution("arm")) / Count("x") | PercentChange("arm", "c"), ()),
+        (Sum("x") | PercentChange("g", "c") | Bootstrap(3), ("g",)),
+        (PercentChange("arm", "c"), ()),
+        (Sum("x") + Bootstrap(3), ()),
+    ])
+    def test_bind_errors(self, metric, split):
+        with pytest.raises(BindError):
+            bind(metric, split, self.COLUMNS)
+        with pytest.raises(BindError):
+            bind(metric, split)

@@ -7,6 +7,7 @@ import pytest
 
 from slicemetrics import (
     AbsoluteChange,
+    BindError,
     Bootstrap,
     Count,
     Dialect,
@@ -124,9 +125,9 @@ class TestToSql:
         assert "T CROSS JOIN Base" in q.text
         assert "(T.churn / Base.churn - 1) * 100" in q.text
 
-    def test_percent_change_with_dims_joins_using(self, mixed):
+    def test_percent_change_with_dims_joins_null_safe(self, mixed):
         q = to_sql(Sum("v") | PercentChange("h", "x"), "d", ("g",), GOOGLE)
-        assert "JOIN Base USING (g)" in q.text
+        assert "T LEFT JOIN Base ON T.g IS NOT DISTINCT FROM Base.g" in q.text
 
     def test_chained_changes_thread_extra_dims(self):
         metric = Mean("v") | AbsoluteChange("g", "a") | PercentChange("h", "x")
@@ -172,6 +173,10 @@ class TestToSql:
     def test_jackknife_has_no_sql(self):
         with pytest.raises(UnsupportedInDialect):
             to_sql(Mean("x") | Jackknife("u"), "d", (), PORTABLE)
+
+    def test_operation_over_a_split_dimension_rejected(self):
+        with pytest.raises(BindError):
+            to_sql(Sum("x") | Distribution("g"), "d", ["g"])
 
     def test_nested_bootstrap_rejected(self):
         inner = Mean("x") | Bootstrap(5)
@@ -266,6 +271,17 @@ class TestBootstrapEquivalence:
 
 
 class TestBackendEquivalenceSpot:
+    def test_null_dimension_and_missing_baseline(self):
+        # The null region is a slice like any other; region "w" has no
+        # baseline row, so its change is NaN in both backends.
+        t = Table.from_dict({
+            "region": ["e", "e", None, None, "w", "w"],
+            "arm": ["c", "t", "c", "t", "t", "t"],
+            "x": [1, 2, 3, 5, 4, 6],
+        })
+        for change in (PercentChange("arm", "c"), AbsoluteChange("arm", "c")):
+            assert_backend_equal(Sum("x") | change, t, ("region",))
+
     def test_random_tables_random_metrics(self):
         rng = random.Random(51)
         metrics = [
