@@ -25,7 +25,7 @@ frame = compute_on(pitch_types, pitches, split_by=["pitcher"])
 print(frame.to_text())
 
 for pitcher in ("rivera", "wakefield"):
-    total = sum(v[0] for k, v in frame.rows if k.value_of("pitcher") == pitcher)
+    total = sum(v[0] for k, v in frame.rows if k[frame.key_columns.index("pitcher")] == pitcher)
     print(f"{pitcher}: values sum to {total}")
 
 # Frames and tables both serialize to CSV, so results pipe cleanly onward.

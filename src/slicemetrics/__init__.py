@@ -53,7 +53,6 @@ from .table import (
     Cell,
     Column,
     CsvOptions,
-    SliceKey,
     Table,
     group_rows,
     read_csv,
@@ -67,7 +66,7 @@ __all__ = [
     "EmptyInput", "EvalContext", "Jackknife", "Max", "Mean", "Metric", "MetricsError",
     "Min", "NameArityError", "NestedBootstrap", "Operation", "ParseError",
     "PercentChange", "Quantile", "ResultFrame", "ScalarLiteral", "SchemaError",
-    "SliceKey", "SqlQuery", "StdDev", "Sum", "Table", "TypeMismatch", "UnknownColumn",
+    "SqlQuery", "StdDev", "Sum", "Table", "TypeMismatch", "UnknownColumn",
     "UnsupportedInDialect", "Variance", "combine", "compute_on", "eval_composite",
     "group_rows", "parse", "pipe", "print_metric", "print_program", "read_csv",
     "resample_n_times_sql", "resample_with_replacement", "sql_aggregate", "sql_expr",

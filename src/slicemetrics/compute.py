@@ -22,7 +22,7 @@ import numpy as np
 from . import metrics as m
 from .errors import BindError, EmptyInput, TypeMismatch
 from .frames import ResultFrame
-from .table import SliceKey, Table, group_rows, resample_with_replacement
+from .table import Table, group_rows, resample_with_replacement
 
 NAN = float("nan")
 
@@ -64,6 +64,9 @@ def compute_on(
     keys = {m.bind(one, split_by, table.column_names) for one in metrics}
     if len(keys) != 1:
         raise BindError(f"jointly computed metrics must share one key, got {sorted(keys)}")
+    names = [name for one in metrics for name in one.names()]
+    if len(set(names)) != len(names):
+        raise BindError(f"jointly computed metrics repeat a value name: {names}")
     frames = [_cached_compute(one, table, split_by, ctx) for one in metrics]
     return frames[0] if isinstance(metric, m.Metric) else _merge_frames(frames)
 
@@ -71,8 +74,8 @@ def compute_on(
 def _merge_frames(frames: list[ResultFrame]) -> ResultFrame:
     keys = frames[0].key_columns
     value_columns = tuple(n for frame in frames for n in frame.value_columns)
-    order: list[SliceKey] = []
-    seen: set[SliceKey] = set()
+    order: list[tuple] = []
+    seen: set[tuple] = set()
     for frame in frames:
         for key, _ in frame.rows:
             if key not in seen:
@@ -113,6 +116,8 @@ def _compute(metric: m.Metric, table: Table, split_by, ctx: EvalContext) -> Resu
     if isinstance(metric, m.Composite):
         left = _composite_side(metric.left, table, split_by, ctx)
         right = _composite_side(metric.right, table, split_by, ctx)
+        if isinstance(left, float) and isinstance(right, float):
+            left = _cached_compute(metric.left, table, split_by, ctx)
         return eval_composite(metric.op, left, right, names=metric.names())
     if isinstance(metric, m.Operation):
         return _eval_operation(metric, table, split_by, ctx)
@@ -207,26 +212,29 @@ def eval_composite(
         )
         return ResultFrame(right.key_columns, out_names, rows)
 
-    common = tuple(k for k in left.key_columns if k in right.key_columns)
-    key_columns = left.key_columns + tuple(
-        k for k in right.key_columns if k not in left.key_columns
-    )
+    extra = tuple(k for k in right.key_columns if k not in left.key_columns)
+    key_columns = left.key_columns + extra
+    common = [k for k in left.key_columns if k in right.key_columns]
+    left_common = [left.key_columns.index(k) for k in common]
+    right_common = [right.key_columns.index(k) for k in common]
+    right_extra = [right.key_columns.index(k) for k in extra]
+    right_at = [right.key_columns.index(k) if k in right.key_columns else None
+                for k in key_columns]
     width = min(len(left.value_columns), len(right.value_columns))
     compatible = len(left.value_columns) == len(right.value_columns)
     out_names = names if names is not None else (
         left.value_columns if compatible else left.value_columns[:width]
     )
 
-    left_groups = _group_by_projection(left, common)
-    right_groups = _group_by_projection(right, common)
+    left_groups = _group_by_positions(left, left_common)
+    right_groups = _group_by_positions(right, right_common)
     order = list(left_groups)
     order.extend(k for k in right_groups if k not in left_groups)
 
-    rows: list[tuple[SliceKey, tuple[float, ...]]] = []
-    seen: set[SliceKey] = set()
+    rows: list[tuple[tuple, tuple[float, ...]]] = []
+    seen: set[tuple] = set()
 
-    def emit(key: SliceKey, values: tuple[float, ...]):
-        key = _reorder_key(key, key_columns)
+    def emit(key: tuple, values: tuple[float, ...]):
         if key not in seen:
             seen.add(key)
             rows.append((key, values))
@@ -235,21 +243,18 @@ def eval_composite(
     for proj in order:
         lrows = left_groups.get(proj, [])
         rrows = right_groups.get(proj, [])
-        if not lrows or not rrows:
-            for key, _ in lrows + rrows:
-                emit(_fill_missing(key, key_columns), nan_row)
-        elif len(lrows) == 1:
-            lkey, lvals = lrows[0]
-            for rkey, rvals in rrows:
-                emit(_merge_keys(lkey, rkey), _pair(op, lvals, rvals, width, compatible))
-        elif len(rrows) == 1:
-            rkey, rvals = rrows[0]
+        if (len(lrows) == 1 and rrows) or (len(rrows) == 1 and lrows):
+            # One side is coarser here and broadcasts across the other's rows.
             for lkey, lvals in lrows:
-                emit(_merge_keys(lkey, rkey), _pair(op, lvals, rvals, width, compatible))
+                for rkey, rvals in rrows:
+                    emit(lkey + tuple(rkey[i] for i in right_extra),
+                         _pair(op, lvals, rvals, width, compatible))
         else:
-            # Both sides refined the same slice differently: unalignable.
-            for key, _ in lrows + rrows:
-                emit(_fill_missing(key, key_columns), nan_row)
+            # One-sided, or both sides refined the same slice differently: unalignable.
+            for key, _ in lrows:
+                emit(key + (None,) * len(extra), nan_row)
+            for key, _ in rrows:
+                emit(tuple(None if i is None else key[i] for i in right_at), nan_row)
     return ResultFrame(key_columns, out_names, tuple(rows))
 
 
@@ -259,27 +264,11 @@ def _pair(op, lvals, rvals, width, compatible):
     return tuple(_apply(op, a, b) for a, b in zip(lvals, rvals))
 
 
-def _group_by_projection(frame: ResultFrame, common: tuple[str, ...]):
-    groups: dict[SliceKey, list] = {}
+def _group_by_positions(frame: ResultFrame, positions: list[int]):
+    groups: dict[tuple, list] = {}
     for key, values in frame.rows:
-        groups.setdefault(key.project(common), []).append((key, values))
+        groups.setdefault(tuple(key[i] for i in positions), []).append((key, values))
     return groups
-
-
-def _merge_keys(a: SliceKey, b: SliceKey) -> SliceKey:
-    dims = list(a.dims)
-    have = {name for name, _ in dims}
-    dims.extend(pair for pair in b.dims if pair[0] not in have)
-    return SliceKey(tuple(dims))
-
-
-def _fill_missing(key: SliceKey, key_columns: tuple[str, ...]) -> SliceKey:
-    have = dict(key.dims)
-    return SliceKey(tuple((name, have.get(name)) for name in key_columns))
-
-
-def _reorder_key(key: SliceKey, key_columns: tuple[str, ...]) -> SliceKey:
-    return key.project(key_columns)
 
 
 # -- operations ---------------------------------------------------------------
@@ -297,58 +286,56 @@ def _eval_operation(node: m.Operation, table: Table, split_by, ctx: EvalContext)
     raise TypeError(f"unknown operation: {type(node).__name__}")
 
 
+# The child of a distribution or change is evaluated at split_by + (dim,), so
+# its key columns, split_by + (dim,) + child.extra_dims(), are already the
+# output's; the slice a row belongs to is its key without position
+# len(split_by).
+
+
 def _eval_distribution(node, table, split_by, ctx):
     child_frame = _cached_compute(node.child, table, split_by + (node.over,), ctx)
-    key_columns = split_by + node.extra_dims()
-    partition_dims = tuple(k for k in key_columns if k != node.over)
-    totals: dict[SliceKey, list[float]] = {}
+    at = len(split_by)
+    totals: dict[tuple, list[float]] = {}
     for key, values in child_frame.rows:
-        part = key.project(partition_dims)
-        bucket = totals.setdefault(part, [0.0] * len(values))
+        bucket = totals.setdefault(key[:at] + key[at + 1:], [0.0] * len(values))
         for i, v in enumerate(values):
             bucket[i] += v
     rows = []
     for key, values in child_frame.rows:
-        total = totals[key.project(partition_dims)]
-        rows.append(
-            (
-                key.project(key_columns),
-                tuple(_apply("div", v, t) for v, t in zip(values, total)),
-            )
-        )
-    return ResultFrame(key_columns, node.names(), tuple(rows))
+        total = totals[key[:at] + key[at + 1:]]
+        rows.append((key, tuple(_apply("div", v, t) for v, t in zip(values, total))))
+    return ResultFrame(child_frame.key_columns, node.names(), tuple(rows))
 
 
 def _eval_change(node, table, split_by, ctx):
     child_frame = _cached_compute(node.child, table, split_by + (node.condition,), ctx)
-    key_columns = split_by + node.extra_dims()
-    residual_dims = tuple(k for k in key_columns if k != node.condition)
-    baselines: dict[SliceKey, tuple[float, ...]] = {}
-    for key, values in child_frame.rows:
-        if key.value_of(node.condition) == node.baseline:
-            baselines[key.project(residual_dims)] = values
+    at = len(split_by)
+    baselines = {
+        key[:at] + key[at + 1:]: values
+        for key, values in child_frame.rows
+        if key[at] == node.baseline
+    }
     percent = isinstance(node, m.PercentChange)
     rows = []
     for key, values in child_frame.rows:
-        out_key = key.project(key_columns)
-        if key.value_of(node.condition) == node.baseline:
-            rows.append((out_key, (0.0,) * len(values)))
+        if key[at] == node.baseline:
+            rows.append((key, (0.0,) * len(values)))
             continue
-        base = baselines.get(key.project(residual_dims))
+        base = baselines.get(key[:at] + key[at + 1:])
         if base is None:
             ctx.warn(
                 "missing_baseline",
-                f"no {node.condition}={node.baseline!r} row for slice {key.values!r}",
+                f"no {node.condition}={node.baseline!r} row for slice {key!r}",
             )
-            rows.append((out_key, (NAN,) * len(values)))
+            rows.append((key, (NAN,) * len(values)))
             continue
         if percent:
             combined = tuple(_apply("mul", _apply("div", v, b) - 1.0, 100.0)
                              for v, b in zip(values, base))
         else:
             combined = tuple(_apply("sub", v, b) for v, b in zip(values, base))
-        rows.append((out_key, combined))
-    return ResultFrame(key_columns, node.names(), tuple(rows))
+        rows.append((key, combined))
+    return ResultFrame(child_frame.key_columns, node.names(), tuple(rows))
 
 
 def _eval_bootstrap(node, table, split_by, ctx):
@@ -376,8 +363,8 @@ def _replicate_se(node, tables, se, split_by, ctx: EvalContext) -> ResultFrame:
     evaluated uncached. A key that loses a non-finite value gets one warning.
     """
     replicate_ctx = EvalContext(cache_enabled=False, warnings=ctx.warnings)
-    samples: dict[SliceKey, list[list[float]]] = {}
-    dropped: dict[SliceKey, int] = {}
+    samples: dict[tuple, list[list[float]]] = {}
+    dropped: dict[tuple, int] = {}
     for part in tables:
         for key, values in _compute(node.child, part, split_by, replicate_ctx).rows:
             per_col = samples.setdefault(key, [[] for _ in values])
@@ -388,7 +375,7 @@ def _replicate_se(node, tables, se, split_by, ctx: EvalContext) -> ResultFrame:
                     dropped[key] = dropped.get(key, 0) + 1
     for key, n in dropped.items():
         ctx.warn("nonfinite_replicate",
-                 f"dropped {n} non-finite replicate values for slice {key.values!r}")
+                 f"dropped {n} non-finite replicate values for slice {key!r}")
     rows = tuple((key, tuple(se(col) for col in per_col)) for key, per_col in samples.items())
     return ResultFrame(split_by + node.extra_dims(), node.names(), rows)
 

@@ -24,7 +24,8 @@ class UnknownColumn(MetricsError):
 
 
 class BindError(MetricsError):
-    """A dimension used twice, a childless operation, or joint keys that differ."""
+    """A tree that cannot be built or bound: an invalid node argument, a childless
+    operation, a dimension used twice, or output columns whose names or keys clash."""
 
 
 class EmptyInput(MetricsError):

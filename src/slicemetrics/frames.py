@@ -7,21 +7,23 @@ import io
 import math
 from dataclasses import dataclass
 
-from .table import Cell, SliceKey, format_cell
+from .table import Cell, format_cell
 
 
 @dataclass(frozen=True)
 class ResultFrame:
     """Evaluation output: one row per slice key, one value per metric name.
 
-    Key columns are the split_by dimensions followed by any dimensions the
-    operations introduced, outermost operation first. Values are floats; a
-    slice with no finite result carries NaN.
+    Each row is ``(key, values)``: ``key`` is a tuple of cells aligned with
+    ``key_columns``, and ``values`` a tuple of floats aligned with
+    ``value_columns``. Key columns are the split_by dimensions followed by any
+    dimensions the operations introduced, outermost operation first. A slice
+    with no finite result carries NaN.
     """
 
     key_columns: tuple[str, ...]
     value_columns: tuple[str, ...]
-    rows: tuple[tuple[SliceKey, tuple[float, ...]], ...]
+    rows: tuple[tuple[tuple[Cell, ...], tuple[float, ...]], ...]
 
     def __post_init__(self):
         seen = set()
@@ -29,6 +31,10 @@ class ResultFrame:
             if key in seen:
                 raise ValueError(f"duplicate slice key: {key}")
             seen.add(key)
+            if len(key) != len(self.key_columns):
+                raise ValueError(
+                    f"row key {key} has {len(key)} cells, expected {len(self.key_columns)}"
+                )
             if len(values) != len(self.value_columns):
                 raise ValueError(
                     f"row for {key} has {len(values)} values,"
@@ -41,8 +47,8 @@ class ResultFrame:
             raise ValueError("frame is not a single scalar result")
         return self.rows[0][1][0]
 
-    def sorted_rows(self) -> list[tuple[SliceKey, tuple[float, ...]]]:
-        return sorted(self.rows, key=lambda row: _order_token(row[0].values))
+    def sorted_rows(self) -> list[tuple[tuple[Cell, ...], tuple[float, ...]]]:
+        return sorted(self.rows, key=lambda row: _order_token(row[0]))
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -50,7 +56,7 @@ class ResultFrame:
         writer.writerow(self.key_columns + self.value_columns)
         for key, values in self.rows:
             writer.writerow(
-                [format_cell(v) for v in key.values] + [_format_value(v) for v in values]
+                [format_cell(v) for v in key] + [_format_value(v) for v in values]
             )
         return out.getvalue()
 
@@ -58,7 +64,7 @@ class ResultFrame:
         """Aligned, human-readable rendering."""
         header = list(self.key_columns + self.value_columns)
         body = [
-            [format_cell(v) for v in key.values] + [_format_value(v) for v in values]
+            [format_cell(v) for v in key] + [_format_value(v) for v in values]
             for key, values in self.rows
         ]
         widths = [len(h) for h in header]

@@ -193,7 +193,7 @@ class Quantile(_LeafAggregate):
 
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"quantile q must be in [0, 1], got {self.q}")
+            raise BindError(f"quantile q must be in [0, 1], got {self.q}")
 
     def default_names(self):
         return (f"quantile_{sanitize_name(self.var)}_{_number_token(self.q)}",)
@@ -215,9 +215,9 @@ class Composite(Metric):
 
     def __post_init__(self):
         if self.op not in _OP_TOKENS:
-            raise ValueError(f"unknown arithmetic op: {self.op!r}")
+            raise BindError(f"unknown arithmetic op: {self.op!r}")
         if self.op == "pow" and not isinstance(self.right, ScalarLiteral):
-            raise ValueError("the exponent of ** must be a scalar literal")
+            raise BindError("the exponent of ** must be a scalar literal")
 
     def arity(self) -> int:
         if isinstance(self.left, ScalarLiteral):
@@ -261,9 +261,7 @@ class Operation(Metric):
 
     def _require_child(self) -> Metric:
         if self.child is None:
-            raise ValueError(
-                f"{type(self).__name__} must modify another metric; pipe one in first"
-            )
+            raise BindError(f"{type(self).__name__} must modify another metric; pipe one in first")
         return self.child
 
     def name_prefix(self) -> str:
@@ -348,7 +346,7 @@ class Bootstrap(Operation):
 
     def __post_init__(self):
         if self.n_rep < 1:
-            raise ValueError(f"n_rep must be positive, got {self.n_rep}")
+            raise BindError(f"n_rep must be positive, got {self.n_rep}")
 
     def name_prefix(self):
         return "se_"
@@ -398,7 +396,7 @@ def pipe(metric: Metric, op: Operation) -> Metric:
     if not isinstance(op, Operation):
         raise TypeError(f"can only pipe into an operation, not {type(op).__name__}")
     if op.child is not None:
-        raise ValueError("operation already has a child metric")
+        raise BindError("operation already has a child metric")
     return dataclasses.replace(op, child=metric)
 
 
@@ -414,8 +412,9 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
 
     Each child is checked at the split it is evaluated at, so a distribution
     or change adds its dimension. Raises ``UnknownColumn`` for a column missing
-    from ``columns``, and ``BindError`` for a repeated dimension or an
-    operation without a child. Returns the computed frame's key columns.
+    from ``columns``, and ``BindError`` for a repeated dimension, an operation
+    without a child, or an output value name that repeats or is a key column.
+    Returns the computed frame's key columns.
     """
 
     def read(name: str):
@@ -444,4 +443,9 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
         if dim in split_by[:i]:
             raise BindError(f"split_by names {dim!r} twice")
     visit(metric, split_by)
-    return split_by + metric.extra_dims()
+    key_columns = split_by + metric.extra_dims()
+    names = metric.names()
+    for i, name in enumerate(names):
+        if name in names[:i] or name in key_columns:
+            raise BindError(f"output column {name!r} is already a key or value column")
+    return key_columns

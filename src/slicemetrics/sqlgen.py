@@ -155,16 +155,16 @@ def to_sql(
 ) -> SqlQuery:
     """Compile a metric into one executable query over the table expression.
 
-    The query's key columns are the operation-introduced dimensions
-    (outermost first) followed by split_by. Bootstrap adds a temp-table
-    statement to the preamble; Jackknife has no SQL form.
+    The query's key columns are those of ``compute_on``: split_by followed by
+    the operation-introduced dimensions, outermost first. Bootstrap adds a
+    temp-table statement to the preamble; Jackknife has no SQL form.
     """
     split_by = tuple(split_by)
-    m.bind(metric, split_by)
+    key_columns = m.bind(metric, split_by)
     text, preamble = _node_to_sql(metric, data, split_by, dialect)
     return SqlQuery(
         text=text,
-        key_columns=metric.extra_dims() + split_by,
+        key_columns=key_columns,
         value_columns=metric.names(),
         dialect=dialect,
         preamble=tuple(preamble),
@@ -187,7 +187,7 @@ def _node_to_sql(metric: m.Metric, data: str, split_by: tuple[str, ...], dialect
 
 def _distribution_sql(node: m.Distribution, data, split_by, dialect):
     child_text, preamble = _node_to_sql(node.child, data, split_by + (node.over,), dialect)
-    dims = node.extra_dims() + split_by
+    dims = split_by + node.extra_dims()
     partition = [quote_ident(d, dialect) for d in dims if d != node.over]
     over = f"PARTITION BY {', '.join(partition)}" if partition else ""
     cols = [quote_ident(d, dialect) for d in dims]
@@ -204,7 +204,7 @@ def _distribution_sql(node: m.Distribution, data, split_by, dialect):
 
 def _change_sql(node: m._ChangeOperation, data, split_by, dialect):
     child_text, preamble = _node_to_sql(node.child, data, split_by + (node.condition,), dialect)
-    dims = node.extra_dims() + split_by
+    dims = split_by + node.extra_dims()
     join_dims = [d for d in dims if d != node.condition]
     condition = quote_ident(node.condition, dialect)
     if node.baseline is None:
@@ -216,14 +216,10 @@ def _change_sql(node: m._ChangeOperation, data, split_by, dialect):
         base_cols = f"* EXCEPT ({condition})"
     else:
         base_cols = ", ".join([quote_ident(d, dialect) for d in join_dims] + child_names)
-    if join_dims:
-        # Null-safe, and a slice without a baseline row stays (with NULL values).
-        same = "IS" if dialect is Dialect.PORTABLE else "IS NOT DISTINCT FROM"
-        quoted = [quote_ident(d, dialect) for d in join_dims]
-        on = " AND ".join(f"T.{q} {same} Base.{q}" for q in quoted)
-        join = f"T LEFT JOIN Base ON {on}"
-    else:
-        join = "T CROSS JOIN Base"
+    # Null-safe, and a slice without a baseline row stays (with NULL values).
+    same = "IS" if dialect is Dialect.PORTABLE else "IS NOT DISTINCT FROM"
+    quoted = [quote_ident(d, dialect) for d in join_dims]
+    on = " AND ".join(f"T.{q} {same} Base.{q}" for q in quoted) or "TRUE"
     cols = [f"T.{quote_ident(d, dialect)}" for d in dims]
     percent = isinstance(node, m.PercentChange)
     for child_name, name in zip(child_names, node.names()):
@@ -238,7 +234,7 @@ def _change_sql(node: m._ChangeOperation, data, split_by, dialect):
     text = (
         f"WITH T AS ({child_text}),\n"
         f"Base AS (SELECT {base_cols} FROM T WHERE {where})\n"
-        f"SELECT {', '.join(cols)} FROM {join}"
+        f"SELECT {', '.join(cols)} FROM T LEFT JOIN Base ON {on}"
     )
     return text, preamble
 
@@ -257,7 +253,7 @@ def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect):
         create = f"CREATE TEMP TABLE Data AS ({input_data})"
     else:
         create = f"CREATE TEMP TABLE Data AS {input_data}"
-    dims = node.extra_dims() + split_by
+    dims = split_by + node.extra_dims()
     quoted = [quote_ident(d, dialect) for d in dims]
     cols = list(quoted)
     cols.extend(

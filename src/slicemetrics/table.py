@@ -137,36 +137,6 @@ def _cell_token(v: Cell) -> str:
     return "i" + repr(v)
 
 
-@dataclass(frozen=True)
-class SliceKey:
-    """One combination of dimension values; nulls group like ordinary values."""
-
-    dims: tuple[tuple[str, Cell], ...]
-
-    @classmethod
-    def empty(cls) -> "SliceKey":
-        return cls(())
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.dims)
-
-    @property
-    def values(self) -> tuple[Cell, ...]:
-        return tuple(value for _, value in self.dims)
-
-    def value_of(self, name: str) -> Cell:
-        for dim, value in self.dims:
-            if dim == name:
-                return value
-        raise KeyError(name)
-
-    def project(self, names: tuple[str, ...]) -> "SliceKey":
-        """Sub-key holding only the given dimensions, in the given order."""
-        lookup = dict(self.dims)
-        return SliceKey(tuple((n, lookup[n]) for n in names))
-
-
 def read_csv(source: bytes | io.BufferedIOBase, options: CsvOptions | None = None) -> Table:
     """Parse UTF-8 CSV with a header row into a typed Table.
 
@@ -213,20 +183,18 @@ def format_cell(v: Cell) -> str:
     return str(v)
 
 
-def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[SliceKey, Table]:
-    """Split into per-slice tables keyed by dimension values.
+def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[tuple, Table]:
+    """Split into per-slice tables keyed by tuples of dimension values.
 
+    A key's cells follow ``split_by``; nulls group like ordinary values.
     Groups appear in first-appearance order and rows keep their original
     relative order within each group. An empty split produces a single group
     under the empty key.
     """
-    split_by = tuple(split_by)
     if not split_by:
-        return {SliceKey.empty(): table}
-    dim_values = [table.column(name).values for name in split_by]
-    groups: dict[SliceKey, list[int]] = {}
-    for i in range(table.row_count):
-        key = SliceKey(tuple((name, vals[i]) for name, vals in zip(split_by, dim_values)))
+        return {(): table}
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(*(table.column(name).values for name in split_by))):
         groups.setdefault(key, []).append(i)
     return {key: table.take(indices) for key, indices in groups.items()}
 

@@ -190,6 +190,8 @@ class TestErrors:
         ["--metric", "sum(lost) | distribution(region)", "--split-by", "region"],
         ["--metric", "sum(lost) | distribution(region)", "--split-by", "region",
          "--mode", "sql"],
+        ["--metric", "sum(lost); sum(lost)"],
+        ["--metric", 'sum(lost) as "region"', "--split-by", "region"],
     ])
     def test_unbindable_program_is_user_error(self, capsys, fig2_csv_path, argv):
         code, out, err = run_cli(capsys, *argv, "--input", fig2_csv_path)

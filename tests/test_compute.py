@@ -20,7 +20,6 @@ from slicemetrics import (
     PercentChange,
     Quantile,
     ResultFrame,
-    SliceKey,
     StdDev,
     Sum,
     Table,
@@ -34,7 +33,7 @@ from slicemetrics import (
 )
 from slicemetrics.compute import eval_leaf
 
-from helpers import frame_values, random_table
+from helpers import random_table
 
 
 def one_column(values) -> Table:
@@ -120,16 +119,21 @@ class TestComposite:
     def test_mean_equals_sum_over_count(self, mixed):
         a = compute_on(Mean("v"), mixed, ("g",))
         b = compute_on(Sum("v") / Count("v"), mixed, ("g",))
-        assert list(frame_values(a).values()) == list(frame_values(b).values())
+        assert list(dict(a.rows).values()) == list(dict(b.rows).values())
 
     def test_self_difference_is_zero(self, mixed):
         m = Mean("v")
         frame = compute_on(m - m, mixed, ("g", "h"))
-        assert all(v == (0.0,) for v in frame_values(frame).values())
+        assert all(v == (0.0,) for v in dict(frame.rows).values())
 
     def test_self_division_is_one(self, mixed):
         frame = compute_on(Sum("v") / Sum("v"), mixed, ("g",))
-        assert all(v == (1.0,) for v in frame_values(frame).values())
+        assert all(v == (1.0,) for v in dict(frame.rows).values())
+
+    def test_composite_of_two_scalars_is_one_value_per_slice(self, mixed):
+        frame = compute_on(combine("add", 2.0, 0.5), mixed, ("g",))
+        assert frame.value_columns == ("2_add_0_5",)
+        assert dict(frame.rows) == {("a",): (2.5,), ("b",): (2.5,)}
 
     def test_ci_upper_bound(self):
         rng = random.Random(8)
@@ -159,22 +163,19 @@ class TestComposite:
             separate = eval_composite(
                 op, compute_on(a, t, ("g1",)), compute_on(b, t, ("g1",))
             )
-            assert frame_values(combined) == frame_values(separate)
+            assert dict(combined.rows) == dict(separate.rows)
 
     def test_scalar_broadcast_matches_eval_composite(self, mixed):
         combined = compute_on(Sum("v") * 2.0, mixed, ("h",))
         separate = eval_composite("mul", compute_on(Sum("v"), mixed, ("h",)), 2.0)
-        assert frame_values(combined) == frame_values(separate)
+        assert dict(combined.rows) == dict(separate.rows)
 
 
 def make_frame(keys, rows, value_columns):
     return ResultFrame(
         tuple(keys),
         tuple(value_columns),
-        tuple(
-            (SliceKey(tuple(zip(keys, key_vals))), tuple(values))
-            for key_vals, values in rows
-        ),
+        tuple((tuple(key_vals), tuple(values)) for key_vals, values in rows),
     )
 
 
@@ -182,36 +183,47 @@ class TestEvalCompositeFrames:
     def test_frame_over_itself(self):
         frame = make_frame(["g"], [(("a",), (2.0,)), (("b",), (4.0,))], ["m"])
         out = eval_composite("div", frame, frame)
-        assert all(v == (1.0,) for v in frame_values(out).values())
+        assert all(v == (1.0,) for v in dict(out.rows).values())
 
     def test_arity_mismatch_yields_nan_outer_join(self):
         two = make_frame(["g"], [(("a",), (1.0, 2.0)), (("b",), (3.0, 4.0))], ["m1", "m2"])
         three = make_frame(["g"], [(("b",), (1.0, 1.0, 1.0)), (("c",), (2.0, 2.0, 2.0))],
                            ["n1", "n2", "n3"])
         out = eval_composite("add", two, three)
-        assert set(frame_values(out)) == {("a",), ("b",), ("c",)}
-        for values in frame_values(out).values():
+        assert set(dict(out.rows)) == {("a",), ("b",), ("c",)}
+        for values in dict(out.rows).values():
             assert all(math.isnan(v) for v in values)
 
     def test_one_sided_keys_yield_nan(self):
         left = make_frame(["g"], [(("a",), (1.0,)), (("b",), (2.0,))], ["m"])
         right = make_frame(["g"], [(("a",), (10.0,))], ["m"])
-        out = frame_values(eval_composite("add", left, right))
+        out = dict(eval_composite("add", left, right).rows)
         assert out[("a",)] == (11.0,)
         assert math.isnan(out[("b",)][0])
 
     def test_coarser_side_broadcasts(self):
         fine = make_frame(["g", "h"], [(("a", "x"), (1.0,)), (("a", "y"), (2.0,))], ["m"])
         coarse = make_frame(["g"], [(("a",), (10.0,))], ["m"])
-        out = frame_values(eval_composite("mul", fine, coarse))
+        out = dict(eval_composite("mul", fine, coarse).rows)
         assert out == {("a", "x"): (10.0,), ("a", "y"): (20.0,)}
+
+    def test_coarser_left_broadcasts_and_one_sided_rows_fill_none(self):
+        coarse = make_frame(["g"], [(("a",), (10.0,)), (("c",), (3.0,))], ["m"])
+        fine = make_frame(["g", "h"], [(("a", "x"), (1.0,)), (("b", "x"), (2.0,)),
+                                       (("a", "y"), (4.0,))], ["m"])
+        out = eval_composite("mul", coarse, fine)
+        assert out.key_columns == ("g", "h")
+        rows = out.rows
+        assert [key for key, _ in rows] == [("a", "x"), ("a", "y"), ("c", None), ("b", "x")]
+        assert rows[0][1] == (10.0,) and rows[1][1] == (40.0,)
+        assert all(math.isnan(values[0]) for _, values in rows[2:])
 
 
 class TestDistribution:
     def test_symmetric_counts(self):
         t = Table.from_dict({"pitch": ["FB", "CB", "FB", "CB"]})
         frame = compute_on(Count("pitch") | Distribution("pitch"), t)
-        assert frame_values(frame) == {("FB",): (0.5,), ("CB",): (0.5,)}
+        assert dict(frame.rows) == {("FB",): (0.5,), ("CB",): (0.5,)}
 
     def test_rows_sum_to_one_within_slices(self):
         rng = random.Random(23)
@@ -219,8 +231,9 @@ class TestDistribution:
             t = random_table(rng)
             frame = compute_on(Count("y") | Distribution("g2"), t, ("g1",))
             sums: dict = {}
+            g1 = frame.key_columns.index("g1")
             for key, values in frame.rows:
-                sums[key.value_of("g1")] = sums.get(key.value_of("g1"), 0.0) + values[0]
+                sums[key[g1]] = sums.get(key[g1], 0.0) + values[0]
             assert all(abs(s - 1.0) <= 1e-12 for s in sums.values())
 
     def test_key_columns_order(self, mixed):
@@ -232,7 +245,7 @@ class TestChanges:
     def test_percent_change_of_figure_churn(self, fig2):
         churn = (Sum("lost") / Count("lost")).set_names(["churn"])
         frame = compute_on(churn | PercentChange("experiment", "control"), fig2)
-        values = frame_values(frame)
+        values = dict(frame.rows)
         assert values[("control",)] == (0.0,)
         # churn: control=2/3, treatment1=0, treatment2=0, treatment3=1
         assert values[("treatment1",)][0] == pytest.approx((0.0 / (2 / 3) - 1) * 100)
@@ -244,8 +257,9 @@ class TestChanges:
             t = random_table(rng)
             for op in (PercentChange("arm", "control"), AbsoluteChange("arm", "control")):
                 frame = compute_on(Sum("y") | op, t, ("g2",))
+                arm = frame.key_columns.index("arm")
                 for key, values in frame.rows:
-                    if key.value_of("arm") == "control":
+                    if key[arm] == "control":
                         assert values == (0.0,)
 
     def test_did_four_cell_oracle(self, employment):
@@ -255,7 +269,7 @@ class TestChanges:
             | AbsoluteChange("PERIOD", "Before")
         )
         frame = compute_on(did, employment)
-        values = frame_values(frame)
+        values = dict(frame.rows)
         assert frame.key_columns == ("PERIOD", "STATE_NAME")
         assert values[("After", "NJ")] == ((18.0 - 19.0) - (17.0 - 20.0),)
         assert values[("After", "NJ")] == (2.0,)
@@ -269,7 +283,7 @@ class TestChanges:
             | AbsoluteChange("PERIOD", "Before")
         )
         frame = compute_on(swapped, employment)
-        after_nj = frame_values(frame)[("After", "NJ")][0]
+        after_nj = dict(frame.rows)[("After", "NJ")][0]
         expected = (18.0 / 19.0 - 1) * 100 - (17.0 / 20.0 - 1) * 100
         assert after_nj == expected
 
@@ -281,7 +295,7 @@ class TestChanges:
         })
         ctx = EvalContext()
         frame = compute_on(Sum("x") | PercentChange("arm", "control"), t, ("g",), ctx)
-        values = frame_values(frame)
+        values = dict(frame.rows)
         assert math.isnan(values[("b", "t1")][0])
         assert values[("a", "t1")][0] == pytest.approx(100.0)
         assert any(w.kind == "missing_baseline" for w in ctx.warnings)
@@ -289,7 +303,7 @@ class TestChanges:
     def test_typed_baseline_cells(self):
         t = Table.from_dict({"year": [2020, 2021, 2021], "x": [1, 2, 4]})
         frame = compute_on(Sum("x") | AbsoluteChange("year", 2020), t)
-        assert frame_values(frame) == {(2020,): (0.0,), (2021,): (5.0,)}
+        assert dict(frame.rows) == {(2020,): (0.0,), (2021,): (5.0,)}
 
 
 class TestBootstrap:
@@ -305,9 +319,9 @@ class TestBootstrap:
     def test_deterministic_given_seed(self, mixed):
         a = compute_on(Mean("v") | Bootstrap(50, seed=9), mixed, ("g",))
         b = compute_on(Mean("v") | Bootstrap(50, seed=9), mixed, ("g",))
-        assert frame_values(a) == frame_values(b)
+        assert dict(a.rows) == dict(b.rows)
         c = compute_on(Mean("v") | Bootstrap(50, seed=10), mixed, ("g",))
-        assert frame_values(a) != frame_values(c)
+        assert dict(a.rows) != dict(c.rows)
 
     def test_empty_table_raises(self):
         with pytest.raises(EmptyInput):
@@ -318,7 +332,7 @@ class TestBootstrap:
         frame = compute_on(
             churn | PercentChange("experiment", "control") | Bootstrap(100, seed=1), fig2
         )
-        assert frame_values(frame)[("control",)] == (0.0,)
+        assert dict(frame.rows)[("control",)] == (0.0,)
 
     def test_nonfinite_replicates_are_dropped_with_a_warning(self):
         # A replicate without the one nonzero control row has a control sum
@@ -332,7 +346,7 @@ class TestBootstrap:
         change = Sum("x") | PercentChange("arm", "c")
         for op in (Bootstrap(50, seed=3), Jackknife("unit")):
             frame = compute_on(change | op, t, (), ctx)
-            se = frame_values(frame)[("t",)][0]
+            se = dict(frame.rows)[("t",)][0]
             assert math.isfinite(se) and se > 0
         dropped = [w for w in ctx.warnings if w.kind == "nonfinite_replicate"]
         assert len(dropped) == 2 and all("('t',)" in w.message for w in dropped)
@@ -386,7 +400,7 @@ class TestCache:
         hits_before = ctx.cache_hits
         second = compute_on(metric, mixed, ("g",), ctx)
         assert ctx.cache_hits > hits_before
-        assert frame_values(first) == frame_values(second)
+        assert dict(first.rows) == dict(second.rows)
 
     def test_cache_equals_no_cache(self):
         rng = random.Random(37)
@@ -395,7 +409,7 @@ class TestCache:
             metric = (Sum("x") / Count("x")) | PercentChange("arm", "control")
             with_cache = compute_on(metric, t, ("g1",), EvalContext())
             without = compute_on(metric, t, ("g1",), EvalContext(cache_enabled=False))
-            a, b = frame_values(with_cache), frame_values(without)
+            a, b = dict(with_cache.rows), dict(without.rows)
             assert set(a) == set(b)
             for key in a:
                 for x, y in zip(a[key], b[key]):
@@ -405,7 +419,7 @@ class TestCache:
         ctx = EvalContext()
         a = compute_on(Mean("v") | Bootstrap(20, seed=1), mixed, (), ctx)
         b = compute_on(Mean("v") | Bootstrap(20, seed=2), mixed, (), ctx)
-        assert frame_values(a) != frame_values(b)
+        assert dict(a.rows) != dict(b.rows)
 
 
 class TestSplitting:
@@ -414,10 +428,10 @@ class TestSplitting:
         for _ in range(10):
             t = random_table(rng, null_rate=0.1)
             whole = compute_on(Mean("x") / Count("y"), t, ("g1", "g2"))
-            by_key = frame_values(whole)
+            by_key = dict(whole.rows)
             for key, part in group_rows(t, ("g1", "g2")).items():
                 alone = compute_on(Mean("x") / Count("y"), part).single_value()
-                expected = by_key[key.values][0]
+                expected = by_key[key][0]
                 assert (math.isnan(alone) and math.isnan(expected)) or alone == expected
 
     def test_unknown_split_column(self, fig2):
@@ -430,8 +444,10 @@ class TestSplitting:
             compute_on(joint, fig2, ("region",))
         with pytest.raises(BindError):
             compute_on([], fig2)
+        with pytest.raises(BindError):
+            compute_on([Sum("lost"), Sum("lost")], fig2)
 
     def test_joint_compute_merges_columns(self, fig2):
         frame = compute_on([Sum("lost"), Count("lost")], fig2, ("region",))
         assert frame.value_columns == ("sum_lost", "count_lost")
-        assert frame_values(frame) == {("US",): (2.0, 4.0), ("EU",): (1.0, 2.0)}
+        assert dict(frame.rows) == {("US",): (2.0, 4.0), ("EU",): (1.0, 2.0)}

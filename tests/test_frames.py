@@ -2,42 +2,37 @@ from __future__ import annotations
 
 import pytest
 
-from slicemetrics import ResultFrame, SliceKey
-
-
-def key(**dims):
-    return SliceKey(tuple(dims.items()))
+from slicemetrics import ResultFrame
 
 
 class TestValidation:
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            ResultFrame(
-                ("g",), ("m",),
-                ((key(g="a"), (1.0,)), (key(g="a"), (2.0,))),
-            )
+            ResultFrame(("g",), ("m",), ((("a",), (1.0,)), (("a",), (2.0,))))
 
     def test_row_width_rejected(self):
         with pytest.raises(ValueError, match="values"):
-            ResultFrame(("g",), ("m", "n"), ((key(g="a"), (1.0,)),))
+            ResultFrame(("g",), ("m", "n"), ((("a",), (1.0,)),))
+        with pytest.raises(ValueError, match="cells"):
+            ResultFrame(("g", "h"), ("m",), ((("a",), (1.0,)),))
 
 
 class TestSerialization:
     def test_csv_keys_then_values(self):
         frame = ResultFrame(
             ("region",), ("churn",),
-            ((key(region="US"), (0.5,)), (key(region="EU"), (float("nan"),))),
+            ((("US",), (0.5,)), (("EU",), (float("nan"),))),
         )
         assert frame.to_csv() == "region,churn\nUS,0.5\nEU,NaN\n"
 
     def test_csv_null_key_is_empty_field(self):
-        frame = ResultFrame(("g",), ("m",), ((key(g=None), (1.0,)),))
+        frame = ResultFrame(("g",), ("m",), (((None,), (1.0,)),))
         assert frame.to_csv() == "g,m\n,1.0\n"
 
     def test_text_is_aligned(self):
         frame = ResultFrame(
             ("experiment",), ("pct_change_of_churn",),
-            ((key(experiment="control"), (0.0,)), (key(experiment="treatment1"), (3.2,))),
+            ((("control",), (0.0,)), (("treatment1",), (3.2,))),
         )
         lines = frame.to_text().splitlines()
         assert lines[0].startswith("experiment")
@@ -47,12 +42,12 @@ class TestSerialization:
     def test_sorted_rows_handles_mixed_key_types(self):
         frame = ResultFrame(
             ("g",), ("m",),
-            ((key(g="b"), (1.0,)), (key(g=2), (2.0,)), (key(g=None), (3.0,)), (key(g=1), (4.0,))),
+            ((("b",), (1.0,)), ((2,), (2.0,)), ((None,), (3.0,)), ((1,), (4.0,))),
         )
-        ordered = [k.values[0] for k, _ in frame.sorted_rows()]
+        ordered = [k[0] for k, _ in frame.sorted_rows()]
         assert ordered == [None, 1, 2, "b"]
 
     def test_single_value_guard(self):
-        frame = ResultFrame(("g",), ("m",), ((key(g="a"), (1.0,)), (key(g="b"), (2.0,))))
+        frame = ResultFrame(("g",), ("m",), ((("a",), (1.0,)), (("b",), (2.0,))))
         with pytest.raises(ValueError):
             frame.single_value()

@@ -28,7 +28,7 @@ from slicemetrics import (
 )
 from slicemetrics.metrics import bind, walk
 
-from helpers import frame_values, random_table
+from helpers import random_table
 
 
 class TestDefaultNames:
@@ -81,7 +81,7 @@ class TestSetNames:
         churn = Sum("lost") / Count("lost")
         renamed = churn.set_names(churn.names())
         assert renamed.names() == churn.names()
-        assert frame_values(compute_on(renamed, fig2)) == frame_values(compute_on(churn, fig2))
+        assert dict(compute_on(renamed, fig2).rows) == dict(compute_on(churn, fig2).rows)
 
     def test_arity_mismatch(self):
         with pytest.raises(NameArityError):
@@ -101,7 +101,7 @@ class TestSetNames:
             a = compute_on(metric, t, ("g1",))
             b = compute_on(renamed, t, ("g1",))
             assert b.value_columns == ("ratio",)
-            assert frame_values(a) == frame_values(b)
+            assert dict(a.rows) == dict(b.rows)
 
 
 class TestPipe:
@@ -125,12 +125,12 @@ class TestPipe:
         assert outer.names() == ("abs_change_of_se_mean_x",)
 
     def test_operation_requires_child(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BindError):
             PercentChange("experiment", "control").names()
 
     def test_template_cannot_be_piped_twice(self):
         full = Sum("x") | Distribution("g")
-        with pytest.raises(ValueError):
+        with pytest.raises(BindError):
             Sum("y") | full
 
 
@@ -185,12 +185,18 @@ def _random_op_chain(rng: random.Random):
 
 class TestStructure:
     def test_quantile_range_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BindError):
             Quantile("x", 1.5)
 
     def test_pow_requires_scalar_exponent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BindError):
             combine("pow", Sum("x"), Count("x"))
+
+    def test_invalid_node_arguments(self):
+        with pytest.raises(BindError):
+            combine("mod", Sum("x"), Count("x"))
+        with pytest.raises(BindError):
+            Bootstrap(0)
 
     def test_scalar_broadcast_builds(self):
         ci = Mean("x") + 1.96 / Count("x") ** 0.5 * StdDev("x")
@@ -283,6 +289,8 @@ class TestBind:
         (Sum("x") | PercentChange("g", "c") | Bootstrap(3), ("g",)),
         (PercentChange("arm", "c"), ()),
         (Sum("x") + Bootstrap(3), ()),
+        (Sum("x").set_names(["g"]), ("g",)),
+        ((Sum("x") | Distribution("h")).set_names(["h"]), ()),
     ])
     def test_bind_errors(self, metric, split):
         with pytest.raises(BindError):

@@ -14,6 +14,7 @@ from slicemetrics import (
     Distribution,
     Jackknife,
     Mean,
+    MetricsError,
     NestedBootstrap,
     PercentChange,
     Quantile,
@@ -28,8 +29,11 @@ from slicemetrics import (
     sql_expr,
     to_sql,
 )
+from slicemetrics.metrics import bind
 
-from helpers import assert_backend_equal, connect, execute_query, grid_table, load_table
+from helpers import (
+    assert_backend_equal, connect, execute_query, grid_table, load_table, random_pipeline,
+)
 
 GOOGLE = Dialect.GOOGLESQL
 PORTABLE = Dialect.PORTABLE
@@ -120,9 +124,9 @@ class TestToSql:
     def test_leaf_query_executes_and_matches(self, mixed):
         assert_backend_equal(Sum("v"), mixed, ("g",))
 
-    def test_percent_change_without_dims_is_cross_join(self, fig2):
+    def test_percent_change_without_dims_joins_on_true(self, fig2):
         q = to_sql(churn_metric() | PercentChange("experiment", "control"), "d", (), GOOGLE)
-        assert "T CROSS JOIN Base" in q.text
+        assert "T LEFT JOIN Base ON TRUE" in q.text
         assert "(T.churn / Base.churn - 1) * 100" in q.text
 
     def test_percent_change_with_dims_joins_null_safe(self, mixed):
@@ -132,7 +136,7 @@ class TestToSql:
     def test_chained_changes_thread_extra_dims(self):
         metric = Mean("v") | AbsoluteChange("g", "a") | PercentChange("h", "x")
         q = to_sql(metric, "d", ("r",), GOOGLE)
-        assert q.key_columns == ("h", "g", "r")
+        assert q.key_columns == ("r", "h", "g")
 
     def test_key_columns_in_outer_select(self, mixed):
         cases = [
@@ -188,7 +192,7 @@ class TestGoldenSnapshots:
     def test_percent_change_fragments(self):
         text = to_sql(churn_metric() | PercentChange("experiment", "control"),
                       "events", (), GOOGLE).render()
-        assert "T CROSS JOIN Base" in text
+        assert "T LEFT JOIN Base ON TRUE" in text
         assert "SELECT * EXCEPT (experiment)" in text
         assert "(T.churn / Base.churn - 1) * 100" in text
 
@@ -282,6 +286,10 @@ class TestBackendEquivalenceSpot:
         for change in (PercentChange("arm", "c"), AbsoluteChange("arm", "c")):
             assert_backend_equal(Sum("x") | change, t, ("region",))
 
+    def test_change_without_any_baseline_keeps_its_rows(self):
+        t = Table.from_dict({"arm": ["t", "t"], "x": [1, 2]})
+        assert_backend_equal(Sum("x") | PercentChange("arm", "c"), t, ())
+
     def test_random_tables_random_metrics(self):
         rng = random.Random(51)
         metrics = [
@@ -296,3 +304,22 @@ class TestBackendEquivalenceSpot:
             metric = rng.choice(metrics)
             split = rng.choice([(), ("g1",)])
             assert_backend_equal(metric, t, split)
+
+    def test_key_columns_agree_on_random_trees(self):
+        rng = random.Random(61)
+        t = Table.from_dict({
+            "alpha": [1, 2, 2, 1, 3], "beta": [0, 1, 0, 1, 1],
+            "gamma": [2.5, 1.0, 2.5, 0.5, 1.0], "delta": ["p", "q", "p", "q", "p"],
+        })
+        checked = 0
+        for _ in range(100):
+            metric = random_pipeline(rng)
+            for split in ((), ("delta",)):
+                try:
+                    query = to_sql(metric, "d", split, PORTABLE)
+                    frame = compute_on(metric, t, split)
+                except MetricsError:
+                    continue
+                assert frame.key_columns == bind(metric, split) == query.key_columns, metric
+                checked += 1
+        assert checked > 50
