@@ -6,8 +6,8 @@ counts into a probability distribution that sums to one per slice.
 
 import random
 
-from slicemetrics import Count, Distribution, compute_on, read_csv, write_csv
-from slicemetrics.table import Table
+from slicemetrics import Count, Distribution, compute_on, read_csv
+from slicemetrics.table import Table, write_csv
 
 rng = random.Random(3)
 mix = {"rivera": ["cutter"] * 8 + ["fastball"] * 2,

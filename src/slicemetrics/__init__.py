@@ -11,7 +11,7 @@ such as ``Distribution``, ``PercentChange``, and ``Bootstrap``::
     query = to_sql(change, "events", split_by=["region"])
 """
 
-from .compute import ComputeWarning, EvalContext, compute_on, eval_composite
+from .compute import ComputeWarning, EvalContext, compute_on
 from .dsl import DslProgram, parse, print_metric, print_program
 from .errors import (
     BindError,
@@ -48,29 +48,18 @@ from .metrics import (
     combine,
     pipe,
 )
-from .sqlgen import Dialect, SqlQuery, resample_n_times_sql, sql_aggregate, sql_expr, to_sql
-from .table import (
-    Cell,
-    Column,
-    CsvOptions,
-    Table,
-    group_rows,
-    read_csv,
-    resample_with_replacement,
-    write_csv,
-)
+from .sqlgen import Dialect, SqlQuery, to_sql
+from .table import Cell, Table, read_csv
 
 __all__ = [
-    "AbsoluteChange", "BindError", "Bootstrap", "Cell", "Column", "Composite", "ComputeWarning",
-    "Count", "CsvOptions", "Dialect", "Distribution", "DslError", "DslProgram",
-    "EmptyInput", "EvalContext", "Jackknife", "Max", "Mean", "Metric", "MetricsError",
-    "Min", "NameArityError", "NestedBootstrap", "Operation", "ParseError",
-    "PercentChange", "Quantile", "ResultFrame", "ScalarLiteral", "SchemaError",
-    "SqlQuery", "StdDev", "Sum", "Table", "TypeMismatch", "UnknownColumn",
-    "UnsupportedInDialect", "Variance", "combine", "compute_on", "eval_composite",
-    "group_rows", "parse", "pipe", "print_metric", "print_program", "read_csv",
-    "resample_n_times_sql", "resample_with_replacement", "sql_aggregate", "sql_expr",
-    "to_sql", "write_csv",
+    "AbsoluteChange", "BindError", "Bootstrap", "Cell", "Composite", "ComputeWarning",
+    "Count", "Dialect", "Distribution", "DslError", "DslProgram", "EmptyInput",
+    "EvalContext", "Jackknife", "Max", "Mean", "Metric", "MetricsError", "Min",
+    "NameArityError", "NestedBootstrap", "Operation", "ParseError", "PercentChange",
+    "Quantile", "ResultFrame", "ScalarLiteral", "SchemaError", "SqlQuery", "StdDev",
+    "Sum", "Table", "TypeMismatch", "UnknownColumn", "UnsupportedInDialect", "Variance",
+    "combine", "compute_on", "parse", "pipe", "print_metric", "print_program",
+    "read_csv", "to_sql",
 ]
 
 __version__ = "0.1.0"

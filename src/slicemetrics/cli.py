@@ -11,7 +11,7 @@ from . import metrics as m
 from .compute import EvalContext, compute_on
 from .errors import MetricsError
 from .sqlgen import Dialect, to_sql
-from .table import CsvOptions, Table, read_csv
+from .table import Table, read_csv
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -105,9 +105,9 @@ def _load_input(args) -> tuple[Table | None, str]:
     if args.input is None:
         return None, "data"
     if args.input == "-":
-        return read_csv(sys.stdin.buffer.read(), CsvOptions()), "data"
+        return read_csv(sys.stdin.buffer.read()), "data"
     with open(args.input, "rb") as handle:
-        table = read_csv(handle, CsvOptions())
+        table = read_csv(handle)
     stem = re.sub(r"\.[^.]*$", "", args.input.replace("\\", "/").rsplit("/", 1)[-1])
     name = re.sub(r"[^A-Za-z0-9_]", "_", stem) or "data"
     if name[0].isdigit():

@@ -111,7 +111,9 @@ def _compute(metric: m.Metric, table: Table, split_by, ctx: EvalContext) -> Resu
         return ResultFrame(split_by, metric.names(), rows)
     if isinstance(metric, m._LeafAggregate):
         groups = group_rows(table, split_by)
-        rows = tuple((key, (eval_leaf(metric, part),)) for key, part in groups.items())
+        cells = table.column(metric.var).values
+        rows = tuple((key, (eval_leaf(metric, [cells[i] for i in indices]),))
+                     for key, indices in groups.items())
         return ResultFrame(split_by, metric.names(), rows)
     if isinstance(metric, m.Composite):
         left = _composite_side(metric.left, table, split_by, ctx)
@@ -134,9 +136,8 @@ def _composite_side(side: m.Metric, table, split_by, ctx):
 # -- leaf aggregates ---------------------------------------------------------
 
 
-def eval_leaf(leaf: m._LeafAggregate, part: Table) -> float:
-    """Reduce one slice to a float, skipping nulls."""
-    values = part.column(leaf.var).values
+def eval_leaf(leaf: m._LeafAggregate, values: list) -> float:
+    """Reduce one slice's cells of the leaf's column to a float, skipping nulls."""
     if leaf.kind == "count":
         return float(sum(1 for v in values if v is not None))
     numeric: list[float] = []
@@ -342,9 +343,19 @@ def _eval_bootstrap(node, table, split_by, ctx):
     if table.row_count == 0:
         raise EmptyInput("bootstrap requires at least one row")
     replicates = (
-        resample_with_replacement(table, random.Random(node.seed ^ i)) for i in range(node.n_rep)
+        resample_with_replacement(table, _replicate_rng(node.seed, i)) for i in range(node.n_rep)
     )
     return _replicate_se(node, replicates, _sample_sd, split_by, ctx)
+
+
+def _replicate_rng(seed: int, i: int) -> random.Random:
+    """Generator of replicate ``i``; distinct (seed, i) pairs never share a seed.
+
+    ``random.Random`` seeds with ``abs``, so the seed is first folded onto the
+    naturals (s >= 0 to 2s, s < 0 to -2s - 1) and then Cantor-paired with i.
+    """
+    z = 2 * seed if seed >= 0 else -2 * seed - 1
+    return random.Random((z + i) * (z + i + 1) // 2 + i)
 
 
 def _eval_jackknife(node, table, split_by, ctx):

@@ -85,12 +85,11 @@ class DslProgram:
 
 
 class _Parser:
-    def __init__(self, src: str, seed: int, default_n_rep: int):
+    def __init__(self, src: str, seed: int):
         self.src = src
         self.tokens = tokenize(src)
         self.pos = 0
         self.seed = seed
-        self.default_n_rep = default_n_rep
 
     # -- token plumbing ------------------------------------------------------
 
@@ -301,7 +300,7 @@ def _change(cls):
 def _build_bootstrap(parser: _Parser, name_tok, args):
     if len(args) > 1:
         _arg_error(name_tok, f"bootstrap takes at most 1 argument, got {len(args)}")
-    n_rep = parser.default_n_rep
+    n_rep = DEFAULT_N_REP
     if args:
         if args[0].kind != "number":
             _arg_error(args[0], "bootstrap replicate count must be a number")
@@ -333,13 +332,12 @@ _BUILDERS = {
 }
 
 
-def parse(src: str, seed: int = 0, default_n_rep: int = DEFAULT_N_REP) -> DslProgram:
+def parse(src: str, seed: int = 0) -> DslProgram:
     """Parse a program of one or more metric pipelines separated by ';'.
 
     ``seed`` is bound into every bootstrap node so runs are reproducible.
     """
-    parser = _Parser(src, seed, default_n_rep)
-    return parser.parse_program()
+    return _Parser(src, seed).parse_program()
 
 
 def set_n_rep(metric: m.Metric, n_rep: int) -> m.Metric:

@@ -413,13 +413,21 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
     Each child is checked at the split it is evaluated at, so a distribution
     or change adds its dimension. Raises ``UnknownColumn`` for a column missing
     from ``columns``, and ``BindError`` for a repeated dimension, an operation
-    without a child, or an output value name that repeats or is a key column.
+    without a child, or a value name that repeats or is a key column in the
+    output or in an operation's child frame, where SQL selects both as
+    columns of one query.
     Returns the computed frame's key columns.
     """
 
     def read(name: str):
         if columns is not None and name not in columns:
             raise UnknownColumn(f"no such column: {name!r}")
+
+    def check_names(node: Metric, split: tuple[str, ...]):
+        keys, names = split + node.extra_dims(), node.names()
+        for i, name in enumerate(names):
+            if name in names[:i] or name in keys:
+                raise BindError(f"output column {name!r} is already a key or value column")
 
     def visit(node: Metric, split: tuple[str, ...]):
         if isinstance(node, _LeafAggregate):
@@ -434,6 +442,8 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
             if dim in split:
                 raise BindError(f"{type(node).__name__} over {dim!r}, which is already a key")
             split += (dim,)
+        if isinstance(node, Operation):
+            check_names(node.child, split)
         for child in node.children():
             visit(child, split)
 
@@ -443,9 +453,5 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
         if dim in split_by[:i]:
             raise BindError(f"split_by names {dim!r} twice")
     visit(metric, split_by)
-    key_columns = split_by + metric.extra_dims()
-    names = metric.names()
-    for i, name in enumerate(names):
-        if name in names[:i] or name in key_columns:
-            raise BindError(f"output column {name!r} is already a key or value column")
-    return key_columns
+    check_names(metric, split_by)
+    return split_by + metric.extra_dims()

@@ -42,11 +42,6 @@ class Column:
     values: tuple[Cell, ...]
 
 
-@dataclass(frozen=True)
-class CsvOptions:
-    delimiter: str = ","
-
-
 class Table:
     """Ordered collection of equal-length named columns."""
 
@@ -95,9 +90,6 @@ class Table:
             raise UnknownColumn(f"no such column: {name!r}")
         return self._columns[i]
 
-    def has_column(self, name: str) -> bool:
-        return name in self._index
-
     def row(self, i: int) -> tuple[Cell, ...]:
         return tuple(col.values[i] for col in self._columns)
 
@@ -137,19 +129,18 @@ def _cell_token(v: Cell) -> str:
     return "i" + repr(v)
 
 
-def read_csv(source: bytes | io.BufferedIOBase, options: CsvOptions | None = None) -> Table:
+def read_csv(source: bytes | io.BufferedIOBase) -> Table:
     """Parse UTF-8 CSV with a header row into a typed Table.
 
     Raises SchemaError for duplicate or empty headers and ParseError (with the
     offending 1-based data row number) for ragged rows.
     """
-    options = options or CsvOptions()
     if isinstance(source, bytes):
         raw = source
     else:
         raw = source.read()
     text = raw.decode("utf-8-sig")
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=options.delimiter)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -183,20 +174,20 @@ def format_cell(v: Cell) -> str:
     return str(v)
 
 
-def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[tuple, Table]:
-    """Split into per-slice tables keyed by tuples of dimension values.
+def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[tuple, list[int]]:
+    """Row indices of each slice, keyed by tuples of dimension values.
 
     A key's cells follow ``split_by``; nulls group like ordinary values.
-    Groups appear in first-appearance order and rows keep their original
-    relative order within each group. An empty split produces a single group
-    under the empty key.
+    Groups appear in first-appearance order and indices ascend within each
+    group. An empty split produces a single group of every row under the
+    empty key.
     """
     if not split_by:
-        return {(): table}
+        return {(): list(range(table.row_count))}
     groups: dict[tuple, list[int]] = {}
     for i, key in enumerate(zip(*(table.column(name).values for name in split_by))):
         groups.setdefault(key, []).append(i)
-    return {key: table.take(indices) for key, indices in groups.items()}
+    return groups
 
 
 def resample_with_replacement(table: Table, rng: random.Random) -> Table:

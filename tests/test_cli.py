@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import io
+import random
 from types import SimpleNamespace
 
 import pytest
 
-from slicemetrics import Count, Sum, compute_on
+from slicemetrics import Count, Sum, compute_on, print_metric
 from slicemetrics.cli import main
 
-from helpers import FIG2_CSV
+from helpers import FIG2_CSV, random_pipeline
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +193,8 @@ class TestErrors:
          "--mode", "sql"],
         ["--metric", "sum(lost); sum(lost)"],
         ["--metric", 'sum(lost) as "region"', "--split-by", "region"],
+        ["--metric", 'sum(lost) as "experiment" | distribution(experiment)'],
+        ["--metric", 'sum(lost) as "experiment" | distribution(experiment)', "--mode", "sql"],
     ])
     def test_unbindable_program_is_user_error(self, capsys, fig2_csv_path, argv):
         code, out, err = run_cli(capsys, *argv, "--input", fig2_csv_path)
@@ -235,3 +238,36 @@ class TestErrors:
         )
         assert code == 2
         assert "internal error" in err
+
+
+RANDOM_CSV = b"""alpha,beta,gamma
+0,2.5,base
+1,,zero
+2,2.5,zero
+0,1.5,base
+3,0,x
+,2.5,base
+"""
+
+
+def test_random_argv_exits_0_or_1(capsys, tmp_path):
+    path = tmp_path / "random.csv"
+    path.write_bytes(RANDOM_CSV)
+    rng = random.Random(2024)
+    columns = ["alpha", "beta", "gamma"]
+    for _ in range(400):
+        argv = ["--input", str(path), "--metric", print_metric(random_pipeline(rng))]
+        split = rng.sample(columns, rng.randint(0, 2))
+        if split and rng.random() < 0.2:
+            split.append(split[0])
+        argv += ["--split-by", ",".join(split), "--mode", rng.choice(["compute", "sql"])]
+        if rng.random() < 0.7:
+            argv += ["--n-rep", str(rng.choice([0, 1, 3, 20]))]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad flag value
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1), (argv, err)
+        if code == 1:
+            assert sum(line.startswith("error:") for line in err.splitlines()) == 1, (argv, err)

@@ -66,8 +66,8 @@ class TestParse:
         assert metric == Bootstrap(250, seed=17, child=Mean("x"))
 
     def test_bootstrap_default_n_rep(self):
-        metric = parse("mean(x) | bootstrap()", default_n_rep=64).metrics[0]
-        assert metric.n_rep == 64
+        metric = parse("mean(x) | bootstrap()").metrics[0]
+        assert metric.n_rep == 100
 
     def test_quantile_and_jackknife(self):
         program = parse("quantile(x, 0.25); mean(x) | jackknife(cookie)")

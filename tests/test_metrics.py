@@ -267,6 +267,10 @@ class TestBind:
         metric = Sum("x") | Distribution("h") | PercentChange("arm", "c") | Jackknife("unit")
         assert bind(metric, ["g"], self.COLUMNS) == ("g", "arm", "h")
         assert bind(Sum("x") / Count("x"), ()) == ()
+        # Composite operands are not frames of their own, so only the output's
+        # and each operation child's names must differ from the keys.
+        operand = Sum("x").set_names(["g"]) * 2
+        assert bind(operand | PercentChange("arm", "c"), ["2", "g"]) == ("2", "g", "arm")
 
     @pytest.mark.parametrize("metric, split", [
         (Sum("nope"), ()),
@@ -291,6 +295,8 @@ class TestBind:
         (Sum("x") + Bootstrap(3), ()),
         (Sum("x").set_names(["g"]), ("g",)),
         ((Sum("x") | Distribution("h")).set_names(["h"]), ()),
+        (Sum("x").set_names(["g"]) | Distribution("g"), ()),
+        (Sum("x").set_names(["arm"]) | PercentChange("arm", "c") | Bootstrap(3), ("g",)),
     ])
     def test_bind_errors(self, metric, split):
         with pytest.raises(BindError):

@@ -24,12 +24,10 @@ from slicemetrics import (
     UnsupportedInDialect,
     Variance,
     compute_on,
-    resample_n_times_sql,
-    sql_aggregate,
-    sql_expr,
     to_sql,
 )
 from slicemetrics.metrics import bind
+from slicemetrics.sqlgen import resample_n_times_sql, sql_aggregate, sql_expr
 
 from helpers import (
     assert_backend_equal, connect, execute_query, grid_table, load_table, random_pipeline,
