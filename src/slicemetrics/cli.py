@@ -74,7 +74,7 @@ def _run(args) -> int:
         metrics = [dsl.set_n_rep(metric, args.n_rep) for metric in metrics]
     split_by = tuple(part for part in args.split_by.split(",") if part)
 
-    table, table_name = _load_input(args)
+    table, table_name = _load_input(args, set(split_by).union(*map(m.columns_read, metrics)))
     if table is not None:
         for metric in metrics:
             m.bind(metric, split_by, table.column_names)
@@ -101,13 +101,18 @@ def _run(args) -> int:
     return 0
 
 
-def _load_input(args) -> tuple[Table | None, str]:
+def _load_input(args, columns: set[str]) -> tuple[Table | None, str]:
+    """The ``--input`` table and the name SQL mode gives it.
+
+    Only ``columns``, the program's read set, are parsed; ``read_csv`` still
+    checks the whole header and every row's width.
+    """
     if args.input is None:
         return None, "data"
     if args.input == "-":
-        return read_csv(sys.stdin.buffer.read()), "data"
+        return read_csv(sys.stdin.buffer.read(), columns), "data"
     with open(args.input, "rb") as handle:
-        table = read_csv(handle)
+        table = read_csv(handle, columns)
     stem = re.sub(r"\.[^.]*$", "", args.input.replace("\\", "/").rsplit("/", 1)[-1])
     name = re.sub(r"[^A-Za-z0-9_]", "_", stem) or "data"
     if name[0].isdigit():

@@ -302,9 +302,12 @@ def _build_bootstrap(parser: _Parser, name_tok, args):
         _arg_error(name_tok, f"bootstrap takes at most 1 argument, got {len(args)}")
     n_rep = DEFAULT_N_REP
     if args:
-        if args[0].kind != "number":
-            _arg_error(args[0], "bootstrap replicate count must be a number")
-        n_rep = int(_number(args[0].text))
+        if args[0].kind != "number" or not args[0].text.isdecimal():
+            _arg_error(args[0], "bootstrap replicate count must be an integer literal")
+        try:
+            n_rep = int(args[0].text)
+        except ValueError:  # more digits than int() converts
+            _arg_error(args[0], "bootstrap replicate count is too large")
         if n_rep < 1:
             _arg_error(args[0], f"bootstrap replicate count must be positive, got {n_rep}")
     return m.Bootstrap(n_rep, seed=parser.seed)

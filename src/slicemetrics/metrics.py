@@ -78,6 +78,10 @@ class Metric:
         """Key columns this metric adds to the output beyond split_by."""
         return ()
 
+    def reads(self) -> tuple[str, ...]:
+        """Input columns this node itself reads, not counting its children."""
+        return ()
+
     def children(self) -> tuple["Metric", ...]:
         return ()
 
@@ -140,6 +144,9 @@ class _LeafAggregate(Metric):
 
     def default_names(self):
         return (f"{self.kind}_{sanitize_name(self.var)}",)
+
+    def reads(self):
+        return (self.var,)
 
     def serialize(self):
         return _with_names(self, f"{self.kind}(var={self.var})")
@@ -295,6 +302,9 @@ class Distribution(Operation):
     def extra_dims(self):
         return (self.over,) + self._require_child().extra_dims()
 
+    def reads(self):
+        return (self.over,)
+
     def serialize(self):
         return _with_names(self, f"distribution(over={self.over}, child={self._child_serial()})")
 
@@ -308,6 +318,9 @@ class _ChangeOperation(Operation):
 
     def extra_dims(self):
         return (self.condition,) + self._require_child().extra_dims()
+
+    def reads(self):
+        return (self.condition,)
 
     def serialize(self):
         return _with_names(
@@ -367,6 +380,9 @@ class Jackknife(Operation):
     def name_prefix(self):
         return "se_"
 
+    def reads(self):
+        return (self.unit,)
+
     def serialize(self):
         return _with_names(self, f"jackknife(unit={self.unit}, child={self._child_serial()})")
 
@@ -407,6 +423,11 @@ def walk(metric: Metric):
         yield from walk(child)
 
 
+def columns_read(metric: Metric) -> set[str]:
+    """Every input column the tree reads: the names ``bind`` checks, less ``split_by``."""
+    return {name for node in walk(metric) for name in node.reads()}
+
+
 def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
     """Check a tree against its split and, when given, the input's columns.
 
@@ -430,15 +451,12 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
                 raise BindError(f"output column {name!r} is already a key or value column")
 
     def visit(node: Metric, split: tuple[str, ...]):
-        if isinstance(node, _LeafAggregate):
-            read(node.var)
-        elif isinstance(node, Jackknife):
-            read(node.unit)
         if isinstance(node, Operation) and node.child is None:
             raise BindError(f"{type(node).__name__} must modify another metric; pipe one in first")
+        for name in node.reads():
+            read(name)
         if isinstance(node, (Distribution, _ChangeOperation)):
             dim = node.over if isinstance(node, Distribution) else node.condition
-            read(dim)
             if dim in split:
                 raise BindError(f"{type(node).__name__} over {dim!r}, which is already a key")
             split += (dim,)

@@ -11,6 +11,7 @@ import hashlib
 import io
 import random
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import EmptyInput, ParseError, SchemaError, UnknownColumn
@@ -47,13 +48,7 @@ class Table:
 
     def __init__(self, columns: list[Column] | tuple[Column, ...]):
         columns = tuple(columns)
-        seen: set[str] = set()
-        for col in columns:
-            if not col.name:
-                raise SchemaError("column names must be non-empty")
-            if col.name in seen:
-                raise SchemaError(f"duplicate column name: {col.name!r}")
-            seen.add(col.name)
+        _check_names(col.name for col in columns)
         if columns:
             n = len(columns[0].values)
             for col in columns:
@@ -129,11 +124,15 @@ def _cell_token(v: Cell) -> str:
     return "i" + repr(v)
 
 
-def read_csv(source: bytes | io.BufferedIOBase) -> Table:
+def read_csv(source: bytes | io.BufferedIOBase, columns: Iterable[str] | None = None) -> Table:
     """Parse UTF-8 CSV with a header row into a typed Table.
 
-    Raises SchemaError for duplicate or empty headers and ParseError (with the
-    offending 1-based data row number) for ragged rows.
+    With ``columns``, only the header's columns named there are parsed, in
+    header order, and names missing from the header are skipped. A table's
+    row count comes from its columns, so when none is named the first column
+    is kept. Either way the whole file is checked: ParseError (with the
+    offending 1-based data row number) for a ragged row, then SchemaError for
+    a duplicate or empty header name.
     """
     if isinstance(source, bytes):
         raw = source
@@ -145,15 +144,31 @@ def read_csv(source: bytes | io.BufferedIOBase) -> Table:
         header = next(reader)
     except StopIteration:
         raise SchemaError("CSV input is empty; a header row is required") from None
-    cells: list[list[Cell]] = [[] for _ in header]
+    keep = range(len(header))
+    if columns is not None:
+        wanted = set(columns)
+        keep = [i for i in keep if header[i] in wanted] or keep[:1]
+    cells: list[list[Cell]] = [[] for _ in keep]
+    parsed = list(zip(cells, keep))
     for rownum, row in enumerate(reader, start=1):
         if len(row) != len(header):
             raise ParseError(
                 f"row {rownum} has {len(row)} fields, expected {len(header)}", row=rownum
             )
-        for i, field in enumerate(row):
-            cells[i].append(parse_cell(field))
-    return Table([Column(name, tuple(col)) for name, col in zip(header, cells)])
+        for col, i in parsed:
+            col.append(parse_cell(row[i]))
+    _check_names(header)
+    return Table([Column(header[i], tuple(col)) for col, i in parsed])
+
+
+def _check_names(names) -> None:
+    seen: set[str] = set()
+    for name in names:
+        if not name:
+            raise SchemaError("column names must be non-empty")
+        if name in seen:
+            raise SchemaError(f"duplicate column name: {name!r}")
+        seen.add(name)
 
 
 def write_csv(table: Table) -> str:

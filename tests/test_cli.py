@@ -6,8 +6,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from slicemetrics import Count, Sum, compute_on, print_metric
+from slicemetrics import (
+    Count, EvalContext, MetricsError, Sum, compute_on, parse, print_metric, read_csv, to_sql,
+)
 from slicemetrics.cli import main
+from slicemetrics.dsl import set_n_rep
+from slicemetrics.metrics import bind
 
 from helpers import FIG2_CSV, random_pipeline
 
@@ -271,3 +275,129 @@ def test_random_argv_exits_0_or_1(capsys, tmp_path):
         assert code in (0, 1), (argv, err)
         if code == 1:
             assert sum(line.startswith("error:") for line in err.splitlines()) == 1, (argv, err)
+
+
+MUTATION_ALPHABET = '0123456789eeee..+-*/()|;,"_ abcmnlstu'
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """One to three random character edits, half of them at or just after a digit."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        digits = [i for i, c in enumerate(chars) if c.isdigit()]
+        if digits and rng.random() < 0.5:
+            at = rng.choice(digits) + rng.randint(0, 1)
+        else:
+            at = rng.randrange(len(chars) + 1)
+        roll = rng.random()
+        if roll < 1 / 3 and at < len(chars):
+            del chars[at]
+        elif roll < 2 / 3 and at < len(chars):
+            chars[at] = rng.choice(MUTATION_ALPHABET)
+        else:
+            chars.insert(at, rng.choice(MUTATION_ALPHABET))
+    return "".join(chars)
+
+
+def test_mutated_programs_raise_only_metrics_errors(capsys, tmp_path):
+    path = tmp_path / "random.csv"
+    path.write_bytes(RANDOM_CSV)
+    rng = random.Random(1)
+    for i in range(2000):
+        source = _mutate(rng, print_metric(random_pipeline(rng)))
+        try:
+            parse(source)
+        except MetricsError:
+            pass
+        if i % 5:
+            continue
+        # --n-rep 2, because an edit can turn a replicate count into a huge one.
+        code = main(["--input", str(path), "--metric", source, "--n-rep", "2",
+                     "--split-by", rng.choice(["", "alpha", "gamma"]),
+                     "--mode", rng.choice(["compute", "sql"])])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (source, err)
+
+
+# alpha, beta and gamma are the columns random_pipeline reads; note (text),
+# score (float) and mixed (int and text) are only read when split by.
+PROJECTION_CSV = b"""alpha,note,beta,score,gamma,mixed
+0,first,2.5,0.25,base,1
+1,,,1.5,zero,two
+2,"a, b",2.5,-3.0,zero,3
+0,first,1.5,,base,
+3,last,0,2.0,x,two
+,first,2.5,0.75,base,1
+"""
+
+
+def _library_run(source, table, table_name, split_by, mode, fmt):
+    """What the CLI prints for a program, from the library on the fully read table."""
+    ctx = EvalContext()
+    try:
+        metrics = [set_n_rep(one, 3) for one in parse(source).metrics]
+        for one in metrics:
+            bind(one, split_by, table.column_names)
+        if mode == "sql":
+            texts = [to_sql(one, table_name, split_by).render() for one in metrics]
+            return 0, ";\n\n".join(texts) + "\n", ""
+        frame = compute_on(metrics if len(metrics) > 1 else metrics[0], table, split_by, ctx)
+    except MetricsError as err:
+        return 1, "", f"error: {err}\n"
+    out = frame.to_csv() if fmt == "csv" else frame.to_text()
+    return 0, out, "".join(f"warning: {w.kind}: {w.message}\n" for w in ctx.warnings)
+
+
+def test_projected_input_gives_the_full_read_output(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "events.csv"
+    path.write_bytes(PROJECTION_CSV)
+    table = read_csv(PROJECTION_CSV)
+    rng = random.Random(21)
+    for _ in range(400):
+        source = print_metric(random_pipeline(rng))
+        if rng.random() < 0.2:
+            source += "; " + print_metric(random_pipeline(rng))
+        dims = ("note", "score", "mixed") if rng.random() < 0.7 else table.column_names + ("nope",)
+        split_by = tuple(rng.sample(dims, rng.randint(0, 2)))
+        mode, fmt = rng.choice(["compute", "sql"]), rng.choice(["csv", "table"])
+        if rng.random() < 0.5:
+            monkeypatch.setattr("sys.stdin", SimpleNamespace(buffer=io.BytesIO(PROJECTION_CSV)))
+            input_arg, table_name = "-", "data"
+        else:
+            input_arg, table_name = str(path), "events"
+        got = run_cli(capsys, "--input", input_arg, "--metric", source, "--n-rep", "3",
+                      "--split-by", ",".join(split_by), "--mode", mode, "--format", fmt)
+        want = _library_run(source, table, table_name, split_by, mode, fmt)
+        assert got == want, (source, split_by, mode)
+
+
+@pytest.mark.parametrize("mode", ["compute", "sql"])
+@pytest.mark.parametrize("data, split_by, message", [
+    (b"alpha,note,note\n1,a,b\n", "", "duplicate column name: 'note'"),
+    (b"alpha,,beta\n1,a,2\n", "", "column names must be non-empty"),
+    (b"alpha,note\n1,a\n2\n", "", "row 2 has 1 fields, expected 2"),
+    (b"alpha,note\n1,a\n", "nope", "no such column: 'nope'"),
+], ids=["duplicate_unread_name", "empty_unread_name", "ragged_row", "missing_split"])
+def test_unread_columns_are_still_checked(capsys, tmp_path, mode, data, split_by, message):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(data)
+    got = run_cli(capsys, "--metric", "sum(alpha)", "--input", str(path), "--mode", mode,
+                  "--split-by", split_by)
+    assert got == (1, "", f"error: {message}\n")
+
+
+def test_text_in_a_read_column_is_still_a_type_mismatch(capsys, tmp_path):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(b"alpha,note\n1,a\noops,b\n")
+    got = run_cli(capsys, "--metric", "sum(alpha)", "--input", str(path))
+    assert got == (1, "", "error: cannot aggregate text cell 'oops' in column 'alpha' with sum\n")
+
+
+def test_program_reading_no_column_keeps_the_row_count(capsys, tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(FIG2_CSV)
+    assert run_cli(capsys, "--metric", "2 | bootstrap(5)", "--input", str(path)) == (
+        0, "se_2\n0.0\n", "")
+    path.write_bytes(b"region,lost\n")
+    assert run_cli(capsys, "--metric", "2 | bootstrap(5)", "--input", str(path)) == (
+        1, "", "error: bootstrap requires at least one row\n")

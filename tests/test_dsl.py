@@ -123,6 +123,12 @@ class TestParseErrors:
         with pytest.raises(DslError, match="exponent"):
             parse("sum(x) ** count(y)")
 
+    @pytest.mark.parametrize("count", ["2.7", "1e2", "1e999403", "9" * 5000],
+                             ids=["fraction", "exponent", "overflow", "5000_digits"])
+    def test_replicate_count_is_an_integer_literal(self, count):
+        with pytest.raises(DslError, match="replicate count"):
+            parse(f"mean(x) | bootstrap({count})")
+
 
 class TestPrint:
     @pytest.mark.parametrize(

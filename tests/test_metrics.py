@@ -26,9 +26,9 @@ from slicemetrics import (
     compute_on,
     pipe,
 )
-from slicemetrics.metrics import bind, walk
+from slicemetrics.metrics import bind, columns_read, walk
 
-from helpers import random_table
+from helpers import random_pipeline, random_table
 
 
 class TestDefaultNames:
@@ -303,3 +303,18 @@ class TestBind:
             bind(metric, split, self.COLUMNS)
         with pytest.raises(BindError):
             bind(metric, split)
+
+    def test_columns_read_is_every_name_bind_checks(self):
+        metric = (Quantile("x", 0.9) + 1) | Distribution("h") | PercentChange("arm", "c")
+        assert columns_read(metric | Jackknife("unit")) == {"x", "h", "arm", "unit"}
+        rng = random.Random(43)
+        for _ in range(200):
+            metric = random_pipeline(rng)
+            needed = columns_read(metric)
+            try:
+                bind(metric, (), needed)
+            except BindError:
+                continue
+            for name in needed:
+                with pytest.raises(UnknownColumn):
+                    bind(metric, (), needed - {name})

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import random
 from collections import Counter
 
@@ -68,6 +70,61 @@ class TestReadCsv:
     def test_no_header_at_all(self):
         with pytest.raises(SchemaError):
             read_csv(b"")
+
+
+def _reference_read(data: bytes) -> Table:
+    """Every column parsed cell by cell: the full read that projections must match."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+    header = next(reader)
+    rows = list(reader)
+    return Table([Column(name, tuple(parse_cell(row[i]) for row in rows))
+                  for i, name in enumerate(header)])
+
+
+class TestReadCsvColumns:
+    DATA = b"a,b,c,d\n1,x,2.5,\n,y,3,7\n4,x,,z\n"
+
+    def test_none_reads_every_column(self):
+        full = read_csv(self.DATA, None)
+        want = _reference_read(self.DATA)
+        assert full.columns == want.columns == read_csv(self.DATA).columns
+
+    def test_subset_keeps_header_order(self):
+        t = read_csv(self.DATA, ["d", "a"])
+        assert t.column_names == ("a", "d")
+        assert t.row_count == 3
+
+    def test_unknown_names_are_skipped(self):
+        assert read_csv(self.DATA, {"c", "nope"}).column_names == ("c",)
+
+    def test_no_known_name_keeps_the_row_count(self):
+        for columns in ([], ["nope"]):
+            t = read_csv(self.DATA, columns)
+            assert t.column_names == ("a",) and t.row_count == 3
+        assert read_csv(b"a,b\n", []).row_count == 0
+
+    def test_projected_cells_equal_the_full_read(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            data = write_csv(random_table(rng, null_rate=0.2)).encode()
+            full = _reference_read(data)
+            names = rng.sample(full.column_names, rng.randint(1, len(full.column_names)))
+            part = read_csv(data, names + ["missing"])
+            assert part.column_names == tuple(n for n in full.column_names if n in names)
+            assert part.row_count == full.row_count
+            for col in part.columns:
+                assert col.values == full.column(col.name).values
+
+    def test_unread_columns_are_still_checked(self):
+        with pytest.raises(ParseError) as err:
+            read_csv(b"a,b\n1,2\n3\n", ["a"])
+        assert err.value.row == 2
+        for data in (b"a,b,b\n1,2,3\n", b"a,,b\n1,2,3\n"):
+            with pytest.raises(SchemaError):
+                read_csv(data, ["a"])
+        for columns in (None, ["b"]):  # a ragged row is reported before a bad header
+            with pytest.raises(ParseError):
+                read_csv(b"a,a,b\n1,2\n", columns)
 
 
 class TestParseCell:
