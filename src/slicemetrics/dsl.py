@@ -283,8 +283,12 @@ def _baseline_cell(tok: Token):
     if tok.kind == "string":
         return _unquote(tok.text)
     if tok.kind == "number":
-        value = _number(tok.text)
-        return int(value) if value.is_integer() and "." not in tok.text and "e" not in tok.text.lower() else value
+        if not tok.text.isdecimal():
+            return _number(tok.text)
+        try:
+            return int(tok.text)  # exact: a float would round past 2**53
+        except ValueError:  # more digits than int() converts
+            _arg_error(tok, "baseline is too large")
     _arg_error(tok, "baseline must be a quoted string or a number")
 
 

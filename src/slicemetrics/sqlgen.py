@@ -243,8 +243,9 @@ def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect):
     child = node.child
     if any(isinstance(n, m.Bootstrap) for n in m.walk(child)):
         raise NestedBootstrap("Bootstrap cannot contain another Bootstrap in SQL generation")
+    columns = sorted(m.columns_read(child) - set(split_by))
     input_data, samples = resample_n_times_sql(
-        data, split_by, node.n_rep, dialect, seed=node.seed
+        data, split_by, node.n_rep, dialect, seed=node.seed, columns=columns
     )
     child_text, child_preamble = _node_to_sql(
         child, "Samples", split_by + ("sample_idx",), dialect
@@ -273,70 +274,70 @@ def resample_n_times_sql(
     n_rep: int,
     dialect: Dialect,
     seed: int = 0,
+    columns: list[str] | tuple[str, ...] | None = None,
 ) -> tuple[str, str]:
-    """SQL for bootstrap resampling: (replicated input, realized samples).
+    """SQL for bootstrap resampling: (numbered input, realized samples).
 
-    The input query replicates every row n_rep times, numbering rows and
-    drawing a random row number within each (split, replicate) partition. The
-    samples query self-joins the materialized Data table to pick the drawn
-    rows. The portable dialect derives its randomness from (row_number,
-    sample_idx, seed), so the query text alone fixes the draw.
+    The input query keeps ``split_by`` plus ``columns`` (every column when
+    None) and numbers the rows of each split_by slice once, next to the
+    slice's size; it is materialized as the temp table Data. The samples query
+    crosses Data with the replicate series in a Draws subquery that keeps only
+    the slice keys, ``sample_idx`` and a drawn row number, then joins the draws
+    back to Data on the keys (null-safe) and the row number. So replicate i of
+    a slice holds slice_size rows drawn with replacement from that slice. The
+    draw is an integer hash of (row_number, sample_idx, seed), so the query
+    text alone fixes it.
     """
     by = [quote_ident(d, dialect) for d in split_by]
     by_prefix = (", ".join(by) + ", ") if by else ""
-    partition = f"PARTITION BY {by_prefix}sample_idx"
+    partition = f"PARTITION BY {', '.join(by)}" if by else ""
+    kept = ["*"] if columns is None else by + [quote_ident(c, dialect) for c in columns]
+    kept += [
+        f"ROW_NUMBER() OVER ({partition}) AS row_number",
+        f"COUNT(*) OVER ({partition}) AS slice_size",
+    ]
+    input_data = f"SELECT {', '.join(kept)} FROM {data}"
     if dialect is Dialect.GOOGLESQL:
-        input_data = (
-            "SELECT\n"
-            "  *,\n"
-            f"  ROW_NUMBER() OVER ({partition}) AS row_number,\n"
-            f"  CEILING(RAND() * COUNT(*) OVER ({partition})) AS random_row_number\n"
-            f"FROM {data},\n"
-            f"UNNEST(GENERATE_ARRAY(1, {n_rep})) AS sample_idx"
-        )
+        series = f"UNNEST(GENERATE_ARRAY(1, {n_rep})) AS sample_idx"
+
+        def mod(a: str) -> str:
+            return f"MOD({a}, 1073741824)"
     else:
         series = (
-            "WITH RECURSIVE replicate_series(sample_idx) AS ("
+            "(WITH RECURSIVE replicate_series(sample_idx) AS ("
             "SELECT 1 UNION ALL SELECT sample_idx + 1 FROM replicate_series"
-            f" WHERE sample_idx < {n_rep}) SELECT sample_idx FROM replicate_series"
+            f" WHERE sample_idx < {n_rep}) SELECT sample_idx FROM replicate_series)"
         )
-        # Seeded randomness as plain arithmetic: an affine seed state followed
-        # by two quadratic-then-affine mixing rounds on 30-bit state (the
-        # quadratic step breaks the lattice structure a pure LCG would give,
-        # and every intermediate fits in a 64-bit integer). The final value is
-        # uniform on (0, 1], so CEILING lands in 1..slice_size.
-        s = seed % 1073741824
-        mix = "(((({x} + 4 * {x} * {x}) % 1073741824) * 1103515245 + {c}) % 1073741824)"
-        input_data = (
-            "SELECT\n"
-            "  *,\n"
-            "  CEILING((rand_v + 1) / 1073741824.0 * slice_size) AS random_row_number\n"
-            "FROM (\n"
-            f"  SELECT *, {mix.format(x='rand_u', c=54321)} AS rand_v\n"
-            "  FROM (\n"
-            f"    SELECT *, {mix.format(x='rand_t', c=12345)} AS rand_u\n"
-            "    FROM (\n"
-            "      SELECT\n"
-            "        *,\n"
-            f"        (row_number * 1103515245 + sample_idx * 12345 + {s}) % 1073741824 AS rand_t\n"
-            "      FROM (\n"
-            "        SELECT\n"
-            "          *,\n"
-            f"          ROW_NUMBER() OVER ({partition}) AS row_number,\n"
-            f"          COUNT(*) OVER ({partition}) AS slice_size\n"
-            f"        FROM {data}\n"
-            f"        CROSS JOIN ({series})\n"
-            "      )\n"
-            "    )\n"
-            "  )\n"
-            ")"
-        )
+
+        def mod(a: str) -> str:
+            return f"(({a}) % 1073741824)"
+
+    # Seeded randomness as plain arithmetic: an affine seed state followed
+    # by two quadratic-then-affine mixing rounds on 30-bit state (the
+    # quadratic step breaks the lattice structure a pure LCG would give,
+    # and every intermediate fits in a 64-bit integer). The final value is
+    # uniform on (0, 1], so CEILING lands in 1..slice_size.
+    def mix(x: str, c: int) -> str:
+        return mod(f"{mod(f'{x} + 4 * {x} * {x}')} * 1103515245 + {c}")
+
+    s = seed % 1073741824
+    draws = (
+        f"  SELECT {by_prefix}sample_idx,"
+        " CEILING((rand_v + 1) / 1073741824.0 * slice_size) AS row_number\n"
+        "  FROM (\n"
+        f"    SELECT *, {mix('rand_u', 54321)} AS rand_v\n"
+        "    FROM (\n"
+        f"      SELECT *, {mix('rand_t', 12345)} AS rand_u\n"
+        "      FROM (\n"
+        f"        SELECT {by_prefix}sample_idx, slice_size,"
+        f" {mod(f'row_number * 1103515245 + sample_idx * 12345 + {s}')} AS rand_t\n"
+        f"        FROM Data CROSS JOIN {series})))"
+    )
+    same = "IS" if dialect is Dialect.PORTABLE else "IS NOT DISTINCT FROM"
+    on = [f"Draws.{q} {same} Data.{q}" for q in by] + ["Draws.row_number = Data.row_number"]
     samples = (
-        "SELECT b.*\n"
-        "FROM (\n"
-        f"  SELECT {by_prefix}sample_idx, random_row_number AS row_number\n"
-        "  FROM Data) AS a\n"
-        "JOIN Data AS b\n"
-        f"USING ({by_prefix}sample_idx, row_number)"
+        "SELECT Data.*, Draws.sample_idx\n"
+        f"FROM (\n{draws}) AS Draws\n"
+        f"JOIN Data ON {' AND '.join(on)}"
     )
     return input_data, samples

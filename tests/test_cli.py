@@ -401,3 +401,15 @@ def test_program_reading_no_column_keeps_the_row_count(capsys, tmp_path):
     path.write_bytes(b"region,lost\n")
     assert run_cli(capsys, "--metric", "2 | bootstrap(5)", "--input", str(path)) == (
         1, "", "error: bootstrap requires at least one row\n")
+
+
+def test_integer_baseline_is_exact(capsys, tmp_path):
+    # 2**53 + 1 has no float; through float it would select the 2**53 row.
+    path = tmp_path / "ids.csv"
+    path.write_bytes(b"id,x\n9007199254740992,1\n9007199254740993,10\n")
+    metric = "sum(x) | absolute_change(id, 9007199254740993)"
+    assert run_cli(capsys, "--metric", metric, "--input", str(path)) == (
+        0, "id,abs_change_of_sum_x\n9007199254740992,-9.0\n9007199254740993,0.0\n", "")
+    metric = f"sum(x) | absolute_change(id, {'9' * 400})"
+    code, out, _ = run_cli(capsys, "--metric", metric, "--input", str(path), "--mode", "sql")
+    assert code == 0 and f"WHERE id = {'9' * 400}" in out

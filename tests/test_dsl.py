@@ -114,6 +114,10 @@ class TestParseErrors:
         with pytest.raises(DslError, match="quoted string or a number"):
             parse("sum(x) | percent_change(arm, control)")
 
+    def test_baseline_beyond_int_conversion_rejected(self):
+        with pytest.raises(DslError, match="baseline is too large"):
+            parse(f"sum(x) | percent_change(arm, {'9' * 5000})")
+
     def test_error_carries_line_number(self):
         with pytest.raises(DslError) as err:
             parse("sum(a) +\nmax(")

@@ -26,7 +26,7 @@ from slicemetrics import (
     compute_on,
     to_sql,
 )
-from slicemetrics.metrics import bind
+from slicemetrics.metrics import ScalarLiteral, bind
 from slicemetrics.sqlgen import resample_n_times_sql, sql_aggregate, sql_expr
 
 from helpers import (
@@ -200,7 +200,14 @@ class TestGoldenSnapshots:
         assert "STDDEV(" in text
         assert "UNNEST(GENERATE_ARRAY(1, 100))" in text
         assert "CREATE TEMP TABLE Data" in text
-        assert "CEILING(RAND() * COUNT(*)" in text
+        assert "MOD(" in text and "RAND()" not in text
+
+    def test_googlesql_bootstrap_text_is_fixed_by_the_seed(self):
+        def text(seed):
+            return to_sql(Mean("x") | Bootstrap(10, seed=seed), "d", ("g",), GOOGLE).render()
+
+        assert text(1) == text(1)
+        assert text(1) != text(2)
 
     def test_portable_never_uses_googlesql_constructs(self):
         metric = churn_metric() | PercentChange("experiment", "control") | Bootstrap(10, seed=0)
@@ -213,25 +220,55 @@ class TestGoldenSnapshots:
 
 class TestResampleSql:
     def test_googlesql_text_fragment(self):
-        input_data, _ = resample_n_times_sql("d", (), 17, GOOGLE)
-        assert "UNNEST(GENERATE_ARRAY(1, 17))" in input_data
+        _, samples = resample_n_times_sql("d", (), 17, GOOGLE)
+        assert "UNNEST(GENERATE_ARRAY(1, 17))" in samples
 
-    def test_portable_data_has_n_rep_times_rows(self, mixed):
-        q = to_sql(Mean("v") | Bootstrap(7, seed=2), "d", (), PORTABLE)
+    def test_portable_data_numbers_each_row_once_with_the_read_columns(self, mixed):
+        q = to_sql(Mean("v") | Bootstrap(7, seed=2), "d", ("g",), PORTABLE)
         con = connect()
         load_table(con, "d", mixed)
         for statement in q.preamble:
             con.execute(statement)
-        count = con.execute("SELECT COUNT(*) FROM Data").fetchone()[0]
-        assert count == 7 * mixed.row_count
-        idx = con.execute(
-            "SELECT MIN(sample_idx), MAX(sample_idx) FROM Data"
-        ).fetchone()
-        assert idx == (1, 7)
-        draws = con.execute(
-            "SELECT MIN(random_row_number), MAX(random_row_number) FROM Data"
-        ).fetchone()
-        assert draws[0] >= 1 and draws[1] <= mixed.row_count
+        cursor = con.execute("SELECT * FROM Data")
+        assert [d[0] for d in cursor.description] == ["g", "v", "row_number", "slice_size"]
+        rows = cursor.fetchall()
+        assert len(rows) == mixed.row_count
+        by_slice: dict = {}
+        for g, _, row_number, slice_size in rows:
+            by_slice.setdefault(g, []).append((row_number, slice_size))
+        for numbered in by_slice.values():
+            n = len(numbered)
+            assert sorted(numbered) == [(i, n) for i in range(1, n + 1)]
+
+    def test_each_replicate_draws_slice_size_rows_from_its_slice(self):
+        rng = random.Random(22)
+        for _ in range(25):
+            n = rng.randint(1, 60)
+            t = Table.from_dict({
+                "id": list(range(n)),
+                "g": [rng.choice(["a", "b", None]) for _ in range(n)],
+                "h": [rng.choice([1, 2]) for _ in range(n)],
+            })
+            split = tuple(rng.sample(["g", "h"], rng.randint(0, 2)))
+            n_rep = rng.randint(1, 8)
+            input_data, samples = resample_n_times_sql(
+                "d", split, n_rep, PORTABLE, seed=rng.randint(0, 999), columns=("id",)
+            )
+            con = connect()
+            load_table(con, "d", t)
+            con.execute(f"CREATE TEMP TABLE Data AS {input_data}")
+            key_of = {i: tuple(t.column(c).values[i] for c in split) for i in range(n)}
+            sizes: dict = {}
+            for key in key_of.values():
+                sizes[key] = sizes.get(key, 0) + 1
+            cols = ", ".join(split + ("sample_idx", "id"))
+            drawn: dict = {}
+            for *key, sample_idx, row_id in con.execute(f"SELECT {cols} FROM ({samples})"):
+                assert key_of[row_id] == tuple(key)
+                drawn.setdefault((tuple(key), sample_idx), []).append(row_id)
+            assert set(drawn) == {(k, i) for k in sizes for i in range(1, n_rep + 1)}
+            for (key, _), ids in drawn.items():
+                assert len(ids) == sizes[key]
 
     def test_single_row_single_rep_draws_that_row(self):
         t = Table.from_dict({"x": [41.5]})
@@ -264,6 +301,23 @@ class TestBootstrapEquivalence:
         sql_rows = execute_query(q, {"d": t})
         sql_se = sql_rows[()][0]
         assert abs(sql_se - compute_se) / compute_se <= 0.2
+
+    def test_null_dimension_keeps_its_slice(self):
+        t = Table.from_dict({
+            "region": ["e", "e", "w", None, "w", None, "e", None],
+            "x": [1.0, 2.0, 4.0, 3.0, 5.0, 8.0, 0.5, 2.5],
+        })
+        metric = Mean("x") | Bootstrap(30, seed=3)
+        rows = execute_query(to_sql(metric, "d", ("region",), PORTABLE), {"d": t})
+        frame = compute_on(metric, t, ("region",))
+        assert set(rows) == {key for key, _ in frame.rows} == {("e",), ("w",), (None,)}
+
+    def test_child_reading_no_column(self, mixed):
+        metric = ScalarLiteral(2.0) | Bootstrap(5, seed=1)
+        for split, kept in (((), "ROW_NUMBER() OVER ()"), (("g",), "g, ROW_NUMBER()")):
+            q = to_sql(metric, "d", split, PORTABLE)
+            assert q.preamble[0].startswith(f"CREATE TEMP TABLE Data AS SELECT {kept}")
+            assert_backend_equal(metric, mixed, split)
 
     def test_grouped_bootstrap_executes(self, mixed):
         q = to_sql(Mean("v") | Bootstrap(60, seed=5), "d", ("g",), PORTABLE)
