@@ -2,16 +2,17 @@
 
 Simple metrics become a single aggregation query. Operations wrap their
 child's query in CTEs: a distribution divides by a window sum, changes join
-the child against a baseline selection, and bootstrap materializes a
-resampled table (as a temp-table preamble) before aggregating per-replicate
+the child against a baseline selection, and bootstrap numbers the rows of
+each slice once in a temp table (the preamble), draws rows per replicate by
+joining seeded row numbers back to it, and aggregates the per-replicate
 results with STDDEV.
 
 Two dialects are supported. ``portable`` targets engines like SQLite: real
-division is forced with CASTs, row replication uses a recursive CTE, and
-randomness is a deterministic arithmetic hash of (row_number, sample_idx,
-seed) so generated queries are reproducible. ``googlesql`` emits BigQuery
-style SQL (``SELECT * EXCEPT``, ``UNNEST(GENERATE_ARRAY(...))``, ``RAND()``)
-and is not executed by the test harness.
+division is forced with CASTs and the replicate series is a recursive CTE.
+``googlesql`` emits BigQuery style SQL (``SELECT * EXCEPT``,
+``UNNEST(GENERATE_ARRAY(...))``, ``MOD``) and is not executed by the test
+harness. Both draw bootstrap rows with the same integer hash of (seed,
+replicate, row), so the query text alone fixes the draw.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .table import Cell
 class Dialect(enum.Enum):
     PORTABLE = "portable"
     GOOGLESQL = "googlesql"
+
+
+_NULL_SAFE_EQ = {Dialect.PORTABLE: "IS", Dialect.GOOGLESQL: "IS NOT DISTINCT FROM"}
 
 
 @dataclass(frozen=True)
@@ -217,7 +221,7 @@ def _change_sql(node: m._ChangeOperation, data, split_by, dialect):
     else:
         base_cols = ", ".join([quote_ident(d, dialect) for d in join_dims] + child_names)
     # Null-safe, and a slice without a baseline row stays (with NULL values).
-    same = "IS" if dialect is Dialect.PORTABLE else "IS NOT DISTINCT FROM"
+    same = _NULL_SAFE_EQ[dialect]
     quoted = [quote_ident(d, dialect) for d in join_dims]
     on = " AND ".join(f"T.{q} {same} Base.{q}" for q in quoted) or "TRUE"
     cols = [f"T.{quote_ident(d, dialect)}" for d in dims]
@@ -268,6 +272,44 @@ def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect):
     return text, list(child_preamble) + [create]
 
 
+# The draw hash works on 30-bit integers: every intermediate of a round fits
+# in a 64-bit integer. A round is quadratic, then affine (the quadratic step
+# breaks the lattice structure a pure LCG would give); both steps, and so
+# _mix, are bijections modulo 2**30.
+_STATES = 1073741824
+_MULTIPLIER = 1103515245
+_ROUNDS = (12345, 54321)
+
+
+def _mix(x: int) -> int:
+    """The draw hash's bijection, as ``_mix_sql`` computes it in SQL."""
+    for c in _ROUNDS:
+        x = (x * (1 + 4 * x) % _STATES * _MULTIPLIER + c) % _STATES
+    return x
+
+
+def _mod(a: str, dialect: Dialect) -> str:
+    """a modulo 2**30 (GoogleSQL has no % operator)."""
+    if dialect is Dialect.GOOGLESQL:
+        return f"MOD({a}, {_STATES})"
+    return f"(({a}) % {_STATES})"
+
+
+def _mix_sql(source: str, keep: str, x: str, name: str, dialect: Dialect) -> str:
+    """SELECT keep, _mix(x) AS name FROM source.
+
+    Each round reads its input twice, so every round is its own subquery
+    and the text stays linear in the number of rounds.
+    """
+    names = [f"{name}_{i}" for i in range(len(_ROUNDS))] + [name]
+    query = f"SELECT {keep}, {_mod(x, dialect)} AS {names[0]} FROM {source}"
+    for c, arg, out in zip(_ROUNDS, names, names[1:]):
+        quadratic = _mod(f"{arg} * (1 + 4 * {arg})", dialect)
+        mixed = _mod(f"{quadratic} * {_MULTIPLIER} + {c}", dialect)
+        query = f"SELECT {keep}, {mixed} AS {out}\n  FROM ({query})"
+    return query
+
+
 def resample_n_times_sql(
     data: str,
     split_by: list[str] | tuple[str, ...],
@@ -284,9 +326,12 @@ def resample_n_times_sql(
     crosses Data with the replicate series in a Draws subquery that keeps only
     the slice keys, ``sample_idx`` and a drawn row number, then joins the draws
     back to Data on the keys (null-safe) and the row number. So replicate i of
-    a slice holds slice_size rows drawn with replacement from that slice. The
-    draw is an integer hash of (row_number, sample_idx, seed), so the query
-    text alone fixes it.
+    a slice holds slice_size rows drawn with replacement from that slice.
+
+    The draw is an integer hash, so the query text alone fixes it: the seed
+    is mixed first, each replicate adds its index and mixes again, and each
+    row adds its number and mixes again. Distinct seeds thus give unrelated
+    replicate streams rather than shifted copies of one stream.
     """
     by = [quote_ident(d, dialect) for d in split_by]
     by_prefix = (", ".join(by) + ", ") if by else ""
@@ -297,43 +342,33 @@ def resample_n_times_sql(
         f"COUNT(*) OVER ({partition}) AS slice_size",
     ]
     input_data = f"SELECT {', '.join(kept)} FROM {data}"
-    if dialect is Dialect.GOOGLESQL:
-        series = f"UNNEST(GENERATE_ARRAY(1, {n_rep})) AS sample_idx"
-
-        def mod(a: str) -> str:
-            return f"MOD({a}, 1073741824)"
+    google = dialect is Dialect.GOOGLESQL
+    replicates = _mix_sql(
+        f"UNNEST(GENERATE_ARRAY(1, {n_rep})) AS sample_idx" if google else "replicate_series",
+        "sample_idx", f"{_mix(seed % _STATES)} + sample_idx", "replicate_state", dialect,
+    )
+    if google:
+        series = f"({replicates})"
     else:
+        # The LIMIT changes no row: it keeps sqlite from inlining the
+        # per-replicate hash into the per-row one, which would recompute it
+        # for every row.
         series = (
             "(WITH RECURSIVE replicate_series(sample_idx) AS ("
             "SELECT 1 UNION ALL SELECT sample_idx + 1 FROM replicate_series"
-            f" WHERE sample_idx < {n_rep}) SELECT sample_idx FROM replicate_series)"
+            f" WHERE sample_idx < {n_rep})\n  {replicates} LIMIT {n_rep})"
         )
-
-        def mod(a: str) -> str:
-            return f"(({a}) % 1073741824)"
-
-    # Seeded randomness as plain arithmetic: an affine seed state followed
-    # by two quadratic-then-affine mixing rounds on 30-bit state (the
-    # quadratic step breaks the lattice structure a pure LCG would give,
-    # and every intermediate fits in a 64-bit integer). The final value is
-    # uniform on (0, 1], so CEILING lands in 1..slice_size.
-    def mix(x: str, c: int) -> str:
-        return mod(f"{mod(f'{x} + 4 * {x} * {x}')} * 1103515245 + {c}")
-
-    s = seed % 1073741824
+    # The row's hash is uniform on 0..2**30 - 1, so CEILING lands in 1..slice_size.
+    rand = _mix_sql(
+        f"Data CROSS JOIN {series}",
+        f"{by_prefix}sample_idx, slice_size", "replicate_state + row_number", "rand", dialect,
+    )
     draws = (
         f"  SELECT {by_prefix}sample_idx,"
-        " CEILING((rand_v + 1) / 1073741824.0 * slice_size) AS row_number\n"
-        "  FROM (\n"
-        f"    SELECT *, {mix('rand_u', 54321)} AS rand_v\n"
-        "    FROM (\n"
-        f"      SELECT *, {mix('rand_t', 12345)} AS rand_u\n"
-        "      FROM (\n"
-        f"        SELECT {by_prefix}sample_idx, slice_size,"
-        f" {mod(f'row_number * 1103515245 + sample_idx * 12345 + {s}')} AS rand_t\n"
-        f"        FROM Data CROSS JOIN {series})))"
+        f" CEILING((rand + 1) / {_STATES}.0 * slice_size) AS row_number\n"
+        f"  FROM ({rand})"
     )
-    same = "IS" if dialect is Dialect.PORTABLE else "IS NOT DISTINCT FROM"
+    same = _NULL_SAFE_EQ[dialect]
     on = [f"Draws.{q} {same} Data.{q}" for q in by] + ["Draws.row_number = Data.row_number"]
     samples = (
         "SELECT Data.*, Draws.sample_idx\n"

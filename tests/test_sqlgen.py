@@ -240,6 +240,28 @@ class TestResampleSql:
             n = len(numbered)
             assert sorted(numbered) == [(i, n) for i in range(1, n + 1)]
 
+    def test_seeds_draw_different_replicate_sets(self):
+        con = connect()
+        load_table(con, "d", Table.from_dict({"x": list(range(100))}))
+
+        def replicates(seed):
+            input_data, samples = resample_n_times_sql(
+                "d", (), 20, PORTABLE, seed=seed, columns=("x",)
+            )
+            if seed == 0:
+                con.execute(f"CREATE TEMP TABLE Data AS {input_data}")
+            drawn: dict = {}
+            for sample_idx, x in con.execute(f"SELECT sample_idx, x FROM ({samples})"):
+                drawn.setdefault(sample_idx, []).append(x)
+            assert len(drawn) == 20
+            return frozenset(tuple(sorted(xs)) for xs in drawn.values())
+
+        sets = [replicates(seed) for seed in range(256)]
+        assert len(set(sets)) == 256
+        # Seeds 12345 apart once shared all but one replicate.
+        for seed in range(256):
+            assert not sets[seed] & replicates(seed + 12345)
+
     def test_each_replicate_draws_slice_size_rows_from_its_slice(self):
         rng = random.Random(22)
         for _ in range(25):
