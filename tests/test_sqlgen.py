@@ -243,13 +243,11 @@ class TestResampleSql:
     def test_seeds_draw_different_replicate_sets(self):
         con = connect()
         load_table(con, "d", Table.from_dict({"x": list(range(100))}))
+        input_data, _ = resample_n_times_sql("d", (), 20, PORTABLE, columns=("x",))
+        con.execute(f"CREATE TEMP TABLE Data AS {input_data}")  # the same for every seed
 
         def replicates(seed):
-            input_data, samples = resample_n_times_sql(
-                "d", (), 20, PORTABLE, seed=seed, columns=("x",)
-            )
-            if seed == 0:
-                con.execute(f"CREATE TEMP TABLE Data AS {input_data}")
+            _, samples = resample_n_times_sql("d", (), 20, PORTABLE, seed=seed, columns=("x",))
             drawn: dict = {}
             for sample_idx, x in con.execute(f"SELECT sample_idx, x FROM ({samples})"):
                 drawn.setdefault(sample_idx, []).append(x)
