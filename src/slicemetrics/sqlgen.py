@@ -316,17 +316,18 @@ def resample_n_times_sql(
     n_rep: int,
     dialect: Dialect,
     seed: int = 0,
-    columns: list[str] | tuple[str, ...] | None = None,
+    *,
+    columns: list[str] | tuple[str, ...],
 ) -> tuple[str, str]:
     """SQL for bootstrap resampling: (numbered input, realized samples).
 
-    The input query keeps ``split_by`` plus ``columns`` (every column when
-    None) and numbers the rows of each split_by slice once, next to the
-    slice's size; it is materialized as the temp table Data. The samples query
-    crosses Data with the replicate series in a Draws subquery that keeps only
-    the slice keys, ``sample_idx`` and a drawn row number, then joins the draws
-    back to Data on the keys (null-safe) and the row number. So replicate i of
-    a slice holds slice_size rows drawn with replacement from that slice.
+    The input query keeps ``split_by`` plus ``columns`` and numbers the rows
+    of each split_by slice once, next to the slice's size; it is materialized
+    as the temp table Data. The samples query crosses Data with the replicate
+    series in a Draws subquery that keeps only the slice keys, ``sample_idx``
+    and a drawn row number, then joins the draws back to Data on the keys
+    (null-safe) and the row number. So replicate i of a slice holds slice_size
+    rows drawn with replacement from that slice.
 
     The draw is an integer hash, so the query text alone fixes it: the seed
     is mixed first, each replicate adds its index and mixes again, and each
@@ -336,8 +337,7 @@ def resample_n_times_sql(
     by = [quote_ident(d, dialect) for d in split_by]
     by_prefix = (", ".join(by) + ", ") if by else ""
     partition = f"PARTITION BY {', '.join(by)}" if by else ""
-    kept = ["*"] if columns is None else by + [quote_ident(c, dialect) for c in columns]
-    kept += [
+    kept = by + [quote_ident(c, dialect) for c in columns] + [
         f"ROW_NUMBER() OVER ({partition}) AS row_number",
         f"COUNT(*) OVER ({partition}) AS slice_size",
     ]
@@ -348,7 +348,7 @@ def resample_n_times_sql(
         "sample_idx", f"{_mix(seed % _STATES)} + sample_idx", "replicate_state", dialect,
     )
     if google:
-        series = f"({replicates})"
+        series = f"({replicates}) AS Replicates"
     else:
         # The LIMIT changes no row: it keeps sqlite from inlining the
         # per-replicate hash into the per-row one, which would recompute it
@@ -356,12 +356,13 @@ def resample_n_times_sql(
         series = (
             "(WITH RECURSIVE replicate_series(sample_idx) AS ("
             "SELECT 1 UNION ALL SELECT sample_idx + 1 FROM replicate_series"
-            f" WHERE sample_idx < {n_rep})\n  {replicates} LIMIT {n_rep})"
+            f" WHERE sample_idx < {n_rep})\n  {replicates} LIMIT {n_rep}) AS Replicates"
         )
     # The row's hash is uniform on 0..2**30 - 1, so CEILING lands in 1..slice_size.
     rand = _mix_sql(
         f"Data CROSS JOIN {series}",
-        f"{by_prefix}sample_idx, slice_size", "replicate_state + row_number", "rand", dialect,
+        f"{by_prefix}sample_idx, slice_size",
+        "Replicates.replicate_state + Data.row_number", "rand", dialect,
     )
     draws = (
         f"  SELECT {by_prefix}sample_idx,"

@@ -220,7 +220,7 @@ class TestGoldenSnapshots:
 
 class TestResampleSql:
     def test_googlesql_text_fragment(self):
-        _, samples = resample_n_times_sql("d", (), 17, GOOGLE)
+        _, samples = resample_n_times_sql("d", (), 17, GOOGLE, columns=())
         assert "UNNEST(GENERATE_ARRAY(1, 17))" in samples
 
     def test_portable_data_numbers_each_row_once_with_the_read_columns(self, mixed):
@@ -301,7 +301,9 @@ class TestResampleSql:
         assert rows == [(41.5,)]
 
     def test_resampled_rows_come_from_source(self, mixed):
-        input_data, samples = resample_n_times_sql("d", (), 5, PORTABLE, seed=3)
+        input_data, samples = resample_n_times_sql(
+            "d", (), 5, PORTABLE, seed=3, columns=("v", "w")
+        )
         con = connect()
         load_table(con, "d", mixed)
         con.execute(f"CREATE TEMP TABLE Data AS {input_data}")
@@ -338,6 +340,15 @@ class TestBootstrapEquivalence:
             q = to_sql(metric, "d", split, PORTABLE)
             assert q.preamble[0].startswith(f"CREATE TEMP TABLE Data AS SELECT {kept}")
             assert_backend_equal(metric, mixed, split)
+
+    def test_read_column_named_like_the_draw_state(self):
+        # The draw hash reads the replicate series' state and Data's row
+        # number by table, so a read column of the same name is just data.
+        t = Table.from_dict({"g": ["a", "a", "b"], "replicate_state": [1.0, 2.0, 4.0]})
+        metric = Mean("replicate_state") | Bootstrap(5, seed=1)
+        rows = execute_query(to_sql(metric, "d", ("g",), PORTABLE), {"d": t})
+        assert set(rows) == {key for key, _ in compute_on(metric, t, ("g",)).rows}
+        assert rows[("b",)] == (0.0,)
 
     def test_grouped_bootstrap_executes(self, mixed):
         q = to_sql(Mean("v") | Bootstrap(60, seed=5), "d", ("g",), PORTABLE)
