@@ -6,9 +6,10 @@ slice. Operations run in three phases: preprocess the data, compute the child
 subtrees are evaluated once per (metric, data, split) thanks to a content
 addressed cache on the evaluation context.
 
-Arithmetic on result frames follows the pointwise rule: frames are joined on
-their common key columns, value columns pair positionally, scalars broadcast,
-and anything that cannot be aligned yields NaN rather than an error.
+Every metric has one value per slice. Arithmetic on result frames follows the
+pointwise rule: frames are joined on their common key columns, the two sides'
+values combine, scalars broadcast, and anything that cannot be aligned yields
+NaN rather than an error.
 """
 
 from __future__ import annotations
@@ -81,14 +82,9 @@ def _merge_frames(frames: list[ResultFrame]) -> ResultFrame:
             if key not in seen:
                 seen.add(key)
                 order.append(key)
-    rows = []
     maps = [dict(frame.rows) for frame in frames]
-    for key in order:
-        values: list[float] = []
-        for frame, rowmap in zip(frames, maps):
-            values.extend(rowmap.get(key, (NAN,) * len(frame.value_columns)))
-        rows.append((key, tuple(values)))
-    return ResultFrame(keys, value_columns, tuple(rows))
+    rows = tuple((key, tuple(rowmap.get(key, (NAN,))[0] for rowmap in maps)) for key in order)
+    return ResultFrame(keys, value_columns, rows)
 
 
 def _cached_compute(metric: m.Metric, table: Table, split_by, ctx: EvalContext) -> ResultFrame:
@@ -190,28 +186,21 @@ def eval_composite(
     right: ResultFrame | float,
     names: tuple[str, ...] | None = None,
 ) -> ResultFrame:
-    """Combine frames (or a frame and a scalar) pointwise.
+    """Combine one-value frames (or a frame and a scalar) pointwise.
 
     Frames join on their common key columns; a side whose key is coarser
-    broadcasts across the finer side's rows. Keys present on only one side,
-    and value lists of differing width, produce NaN: incompatibility is a
-    value, not an error.
+    broadcasts across the finer side's rows. Keys present on only one side
+    produce NaN: incompatibility is a value, not an error. The result is
+    named ``names``, or after its frame side (the left one for two frames).
     """
     if isinstance(left, float) and isinstance(right, float):
         raise TypeError("at least one side must be a frame")
     if isinstance(right, float):
-        assert isinstance(left, ResultFrame)
-        out_names = names or left.value_columns
-        rows = tuple(
-            (key, tuple(_apply(op, v, right) for v in values)) for key, values in left.rows
-        )
-        return ResultFrame(left.key_columns, out_names, rows)
+        rows = tuple((key, (_apply(op, v, right),)) for key, (v,) in left.rows)
+        return ResultFrame(left.key_columns, names or left.value_columns, rows)
     if isinstance(left, float):
-        out_names = names or right.value_columns
-        rows = tuple(
-            (key, tuple(_apply(op, left, v) for v in values)) for key, values in right.rows
-        )
-        return ResultFrame(right.key_columns, out_names, rows)
+        rows = tuple((key, (_apply(op, left, v),)) for key, (v,) in right.rows)
+        return ResultFrame(right.key_columns, names or right.value_columns, rows)
 
     extra = tuple(k for k in right.key_columns if k not in left.key_columns)
     key_columns = left.key_columns + extra
@@ -221,48 +210,35 @@ def eval_composite(
     right_extra = [right.key_columns.index(k) for k in extra]
     right_at = [right.key_columns.index(k) if k in right.key_columns else None
                 for k in key_columns]
-    width = min(len(left.value_columns), len(right.value_columns))
-    compatible = len(left.value_columns) == len(right.value_columns)
-    out_names = names if names is not None else (
-        left.value_columns if compatible else left.value_columns[:width]
-    )
 
     left_groups = _group_by_positions(left, left_common)
     right_groups = _group_by_positions(right, right_common)
     order = list(left_groups)
     order.extend(k for k in right_groups if k not in left_groups)
 
-    rows: list[tuple[tuple, tuple[float, ...]]] = []
+    rows: list[tuple[tuple, tuple[float]]] = []
     seen: set[tuple] = set()
 
-    def emit(key: tuple, values: tuple[float, ...]):
+    def emit(key: tuple, value: float):
         if key not in seen:
             seen.add(key)
-            rows.append((key, values))
+            rows.append((key, (value,)))
 
-    nan_row = (NAN,) * width
     for proj in order:
         lrows = left_groups.get(proj, [])
         rrows = right_groups.get(proj, [])
         if (len(lrows) == 1 and rrows) or (len(rrows) == 1 and lrows):
             # One side is coarser here and broadcasts across the other's rows.
-            for lkey, lvals in lrows:
-                for rkey, rvals in rrows:
-                    emit(lkey + tuple(rkey[i] for i in right_extra),
-                         _pair(op, lvals, rvals, width, compatible))
+            for lkey, (a,) in lrows:
+                for rkey, (b,) in rrows:
+                    emit(lkey + tuple(rkey[i] for i in right_extra), _apply(op, a, b))
         else:
             # One-sided, or both sides refined the same slice differently: unalignable.
             for key, _ in lrows:
-                emit(key + (None,) * len(extra), nan_row)
+                emit(key + (None,) * len(extra), NAN)
             for key, _ in rrows:
-                emit(tuple(None if i is None else key[i] for i in right_at), nan_row)
-    return ResultFrame(key_columns, out_names, tuple(rows))
-
-
-def _pair(op, lvals, rvals, width, compatible):
-    if not compatible:
-        return (NAN,) * width
-    return tuple(_apply(op, a, b) for a, b in zip(lvals, rvals))
+                emit(tuple(None if i is None else key[i] for i in right_at), NAN)
+    return ResultFrame(key_columns, names or left.value_columns, tuple(rows))
 
 
 def _group_by_positions(frame: ResultFrame, positions: list[int]):
@@ -296,46 +272,40 @@ def _eval_operation(node: m.Operation, table: Table, split_by, ctx: EvalContext)
 def _eval_distribution(node, table, split_by, ctx):
     child_frame = _cached_compute(node.child, table, split_by + (node.over,), ctx)
     at = len(split_by)
-    totals: dict[tuple, list[float]] = {}
-    for key, values in child_frame.rows:
-        bucket = totals.setdefault(key[:at] + key[at + 1:], [0.0] * len(values))
-        for i, v in enumerate(values):
-            bucket[i] += v
-    rows = []
-    for key, values in child_frame.rows:
-        total = totals[key[:at] + key[at + 1:]]
-        rows.append((key, tuple(_apply("div", v, t) for v, t in zip(values, total))))
-    return ResultFrame(child_frame.key_columns, node.names(), tuple(rows))
+    totals: dict[tuple, float] = {}
+    for key, (v,) in child_frame.rows:
+        slice_key = key[:at] + key[at + 1:]
+        totals[slice_key] = totals.get(slice_key, 0.0) + v
+    rows = tuple((key, (_apply("div", v, totals[key[:at] + key[at + 1:]]),))
+                 for key, (v,) in child_frame.rows)
+    return ResultFrame(child_frame.key_columns, node.names(), rows)
 
 
 def _eval_change(node, table, split_by, ctx):
     child_frame = _cached_compute(node.child, table, split_by + (node.condition,), ctx)
     at = len(split_by)
     baselines = {
-        key[:at] + key[at + 1:]: values
-        for key, values in child_frame.rows
+        key[:at] + key[at + 1:]: v
+        for key, (v,) in child_frame.rows
         if key[at] == node.baseline
     }
     percent = isinstance(node, m.PercentChange)
     rows = []
-    for key, values in child_frame.rows:
-        if key[at] == node.baseline:
-            rows.append((key, (0.0,) * len(values)))
-            continue
+    for key, (v,) in child_frame.rows:
         base = baselines.get(key[:at] + key[at + 1:])
-        if base is None:
+        if key[at] == node.baseline:
+            change = 0.0
+        elif base is None:
             ctx.warn(
                 "missing_baseline",
                 f"no {node.condition}={node.baseline!r} row for slice {key!r}",
             )
-            rows.append((key, (NAN,) * len(values)))
-            continue
-        if percent:
-            combined = tuple(_apply("mul", _apply("div", v, b) - 1.0, 100.0)
-                             for v, b in zip(values, base))
+            change = NAN
+        elif percent:
+            change = _apply("mul", _apply("div", v, base) - 1.0, 100.0)
         else:
-            combined = tuple(_apply("sub", v, b) for v, b in zip(values, base))
-        rows.append((key, combined))
+            change = _apply("sub", v, base)
+        rows.append((key, (change,)))
     return ResultFrame(child_frame.key_columns, node.names(), tuple(rows))
 
 
@@ -368,26 +338,25 @@ def _eval_jackknife(node, table, split_by, ctx):
 
 
 def _replicate_se(node, tables, se, split_by, ctx: EvalContext) -> ResultFrame:
-    """Per key and value column, ``se`` of the child's finite replicate values.
+    """Per key, ``se`` of the child's finite replicate values.
 
     Each replicate is a new table, so its cache entries would never hit; it is
     evaluated uncached. A key that loses a non-finite value gets one warning.
     """
     replicate_ctx = EvalContext(cache_enabled=False, warnings=ctx.warnings)
-    samples: dict[tuple, list[list[float]]] = {}
+    samples: dict[tuple, list[float]] = {}
     dropped: dict[tuple, int] = {}
     for part in tables:
-        for key, values in _compute(node.child, part, split_by, replicate_ctx).rows:
-            per_col = samples.setdefault(key, [[] for _ in values])
-            for col, v in zip(per_col, values):
-                if math.isfinite(v):
-                    col.append(v)
-                else:
-                    dropped[key] = dropped.get(key, 0) + 1
+        for key, (v,) in _compute(node.child, part, split_by, replicate_ctx).rows:
+            kept = samples.setdefault(key, [])
+            if math.isfinite(v):
+                kept.append(v)
+            else:
+                dropped[key] = dropped.get(key, 0) + 1
     for key, n in dropped.items():
         ctx.warn("nonfinite_replicate",
                  f"dropped {n} non-finite replicate values for slice {key!r}")
-    rows = tuple((key, tuple(se(col) for col in per_col)) for key, per_col in samples.items())
+    rows = tuple((key, (se(kept),)) for key, kept in samples.items())
     return ResultFrame(split_by + node.extra_dims(), node.names(), rows)
 
 

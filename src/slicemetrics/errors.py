@@ -37,7 +37,7 @@ class TypeMismatch(MetricsError):
 
 
 class NameArityError(MetricsError):
-    """set_names received a list whose length differs from the metric arity."""
+    """set_names received other than exactly one name: a metric has one value."""
 
 
 class UnsupportedInDialect(MetricsError):

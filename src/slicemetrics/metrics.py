@@ -47,7 +47,11 @@ def serialize_cell(v: Cell) -> str:
 
 @dataclass(frozen=True)
 class Metric:
-    """Base node. Subclasses define default names, arity, and extra dims."""
+    """Base node. Subclasses define default names and extra dims.
+
+    A metric has one value per slice, so ``names()`` is a 1-tuple; only a
+    jointly computed list of metrics gives a frame several value columns.
+    """
 
     names_override: tuple[str, ...] | None = field(default=None, kw_only=True)
 
@@ -63,16 +67,11 @@ class Metric:
 
     def set_names(self, names: list[str] | tuple[str, ...]) -> "Metric":
         names = tuple(names)
-        if len(names) != self.arity():
-            raise NameArityError(
-                f"metric has arity {self.arity()}, got {len(names)} names"
-            )
+        if len(names) != 1:
+            raise NameArityError(f"a metric has one value, got {len(names)} names")
         return dataclasses.replace(self, names_override=names)
 
     # -- structure ----------------------------------------------------------
-
-    def arity(self) -> int:
-        return 1
 
     def extra_dims(self) -> tuple[str, ...]:
         """Key columns this metric adds to the output beyond split_by."""
@@ -123,7 +122,7 @@ class Metric:
 
 @dataclass(frozen=True)
 class ScalarLiteral(Metric):
-    """Constant that broadcasts against a metric of any arity."""
+    """Constant that broadcasts across every slice of the other side."""
 
     value: float
 
@@ -226,21 +225,8 @@ class Composite(Metric):
         if self.op == "pow" and not isinstance(self.right, ScalarLiteral):
             raise BindError("the exponent of ** must be a scalar literal")
 
-    def arity(self) -> int:
-        if isinstance(self.left, ScalarLiteral):
-            return self.right.arity()
-        if isinstance(self.right, ScalarLiteral):
-            return self.left.arity()
-        return min(self.left.arity(), self.right.arity())
-
     def default_names(self):
-        token = _OP_TOKENS[self.op]
-        left, right = self.left.names(), self.right.names()
-        if isinstance(self.left, ScalarLiteral):
-            left = left * len(right)
-        if isinstance(self.right, ScalarLiteral):
-            right = right * len(left)
-        return tuple(token.join(pair) for pair in zip(left, right))
+        return (self.left.names()[0] + _OP_TOKENS[self.op] + self.right.names()[0],)
 
     def extra_dims(self):
         dims = list(self.left.extra_dims())
@@ -274,11 +260,8 @@ class Operation(Metric):
     def name_prefix(self) -> str:
         raise NotImplementedError
 
-    def arity(self) -> int:
-        return self._require_child().arity()
-
     def default_names(self):
-        return tuple(f"{self.name_prefix()}{n}" for n in self._require_child().names())
+        return (self.name_prefix() + self._require_child().names()[0],)
 
     def extra_dims(self):
         return self._require_child().extra_dims()
@@ -434,9 +417,9 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
     Each child is checked at the split it is evaluated at, so a distribution
     or change adds its dimension. Raises ``UnknownColumn`` for a column missing
     from ``columns``, and ``BindError`` for a repeated dimension, an operation
-    without a child, or a value name that repeats or is a key column in the
-    output or in an operation's child frame, where SQL selects both as
-    columns of one query.
+    without a child, or a value name that is a key column in the output or in
+    an operation's child frame, where SQL selects both as columns of one
+    query.
     Returns the computed frame's key columns.
     """
 
@@ -445,10 +428,9 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
             raise UnknownColumn(f"no such column: {name!r}")
 
     def check_names(node: Metric, split: tuple[str, ...]):
-        keys, names = split + node.extra_dims(), node.names()
-        for i, name in enumerate(names):
-            if name in names[:i] or name in keys:
-                raise BindError(f"output column {name!r} is already a key or value column")
+        name = node.names()[0]
+        if name in split + node.extra_dims():
+            raise BindError(f"output column {name!r} is already a key column")
 
     def visit(node: Metric, split: tuple[str, ...]):
         if isinstance(node, Operation) and node.child is None:

@@ -1,5 +1,6 @@
 """Compile metric trees to SQL.
 
+Every query selects its key columns and the metric's one value column.
 Simple metrics become a single aggregation query. Operations wrap their
 child's query in CTEs: a distribution divides by a window sum, changes join
 the child against a baseline selection, and bootstrap numbers the rows of
@@ -82,24 +83,20 @@ def _scalar_sql(value: float) -> str:
     return f"({text})" if value < 0 else text
 
 
-def sql_expr(metric: m.Metric, dialect: Dialect) -> list[str]:
-    """SQL expressions for a leaf or composite, one per value column.
+def sql_expr(metric: m.Metric, dialect: Dialect) -> str:
+    """The SQL expression of a leaf's or composite's one value.
 
     Raises UnsupportedInDialect if an operation appears at expression
     position or the dialect lacks the aggregate.
     """
     if isinstance(metric, m.ScalarLiteral):
-        return [_scalar_sql(metric.value)]
+        return _scalar_sql(metric.value)
     if isinstance(metric, m._LeafAggregate):
-        return [_leaf_sql(metric, dialect)]
+        return _leaf_sql(metric, dialect)
     if isinstance(metric, m.Composite):
-        left = [_wrap(e, metric.left) for e in sql_expr(metric.left, dialect)]
-        right = [_wrap(e, metric.right) for e in sql_expr(metric.right, dialect)]
-        if len(left) == 1 and len(right) > 1:
-            left = left * len(right)
-        if len(right) == 1 and len(left) > 1:
-            right = right * len(left)
-        return [_arith_sql(metric.op, a, b, dialect) for a, b in zip(left, right)]
+        left = _wrap(sql_expr(metric.left, dialect), metric.left)
+        right = _wrap(sql_expr(metric.right, dialect), metric.right)
+        return _arith_sql(metric.op, left, right, dialect)
     raise UnsupportedInDialect(
         f"{type(metric).__name__} cannot appear inside an arithmetic expression in SQL;"
         " operations must wrap the whole metric"
@@ -108,6 +105,11 @@ def sql_expr(metric: m.Metric, dialect: Dialect) -> list[str]:
 
 def _wrap(expr: str, node: m.Metric) -> str:
     return f"({expr})" if isinstance(node, m.Composite) else expr
+
+
+def _name(metric: m.Metric, dialect: Dialect) -> str:
+    """The quoted column name of the metric's one value."""
+    return quote_ident(metric.names()[0], dialect)
 
 
 def _arith_sql(op: str, left: str, right: str, dialect: Dialect) -> str:
@@ -137,14 +139,9 @@ def _leaf_sql(leaf: m._LeafAggregate, dialect: Dialect) -> str:
 
 
 def sql_aggregate(metric: m.Metric, data: str, dims: list[str] | tuple[str, ...], dialect: Dialect) -> str:
-    """Aggregation query: SELECT dims, exprs AS names FROM data GROUP BY dims."""
-    dims = tuple(dims)
+    """Aggregation query: SELECT dims, expr AS name FROM data GROUP BY dims."""
     quoted = [quote_ident(d, dialect) for d in dims]
-    cols = list(quoted)
-    cols.extend(
-        f"{expr} AS {quote_ident(name, dialect)}"
-        for expr, name in zip(sql_expr(metric, dialect), metric.names())
-    )
+    cols = quoted + [f"{sql_expr(metric, dialect)} AS {_name(metric, dialect)}"]
     query = f"SELECT {', '.join(cols)} FROM {data}"
     if dims:
         query += f" GROUP BY {', '.join(quoted)}"
@@ -194,14 +191,9 @@ def _distribution_sql(node: m.Distribution, data, split_by, dialect):
     dims = split_by + node.extra_dims()
     partition = [quote_ident(d, dialect) for d in dims if d != node.over]
     over = f"PARTITION BY {', '.join(partition)}" if partition else ""
-    cols = [quote_ident(d, dialect) for d in dims]
-    for child_name, name in zip(node.child.names(), node.names()):
-        value = quote_ident(child_name, dialect)
-        if dialect is Dialect.PORTABLE:
-            expr = f"CAST({value} AS REAL) / SUM({value}) OVER ({over})"
-        else:
-            expr = f"{value} / SUM({value}) OVER ({over})"
-        cols.append(f"{expr} AS {quote_ident(name, dialect)}")
+    value = _name(node.child, dialect)
+    share = _arith_sql("div", value, f"SUM({value}) OVER ({over})", dialect)
+    cols = [quote_ident(d, dialect) for d in dims] + [f"{share} AS {_name(node, dialect)}"]
     text = f"WITH T AS ({child_text})\nSELECT {', '.join(cols)} FROM T"
     return text, preamble
 
@@ -215,26 +207,20 @@ def _change_sql(node: m._ChangeOperation, data, split_by, dialect):
         where = f"{condition} IS NULL"
     else:
         where = f"{condition} = {literal(node.baseline, dialect)}"
-    child_names = [quote_ident(n, dialect) for n in node.child.names()]
+    value = _name(node.child, dialect)
+    quoted = [quote_ident(d, dialect) for d in join_dims]
     if dialect is Dialect.GOOGLESQL:
         base_cols = f"* EXCEPT ({condition})"
     else:
-        base_cols = ", ".join([quote_ident(d, dialect) for d in join_dims] + child_names)
+        base_cols = ", ".join(quoted + [value])
     # Null-safe, and a slice without a baseline row stays (with NULL values).
     same = _NULL_SAFE_EQ[dialect]
-    quoted = [quote_ident(d, dialect) for d in join_dims]
     on = " AND ".join(f"T.{q} {same} Base.{q}" for q in quoted) or "TRUE"
-    cols = [f"T.{quote_ident(d, dialect)}" for d in dims]
-    percent = isinstance(node, m.PercentChange)
-    for child_name, name in zip(child_names, node.names()):
-        if percent:
-            if dialect is Dialect.PORTABLE:
-                expr = f"(CAST(T.{child_name} AS REAL) / Base.{child_name} - 1) * 100"
-            else:
-                expr = f"(T.{child_name} / Base.{child_name} - 1) * 100"
-        else:
-            expr = f"T.{child_name} - Base.{child_name}"
-        cols.append(f"{expr} AS {quote_ident(name, dialect)}")
+    if isinstance(node, m.PercentChange):
+        change = f"({_arith_sql('div', f'T.{value}', f'Base.{value}', dialect)} - 1) * 100"
+    else:
+        change = f"T.{value} - Base.{value}"
+    cols = [f"T.{quote_ident(d, dialect)}" for d in dims] + [f"{change} AS {_name(node, dialect)}"]
     text = (
         f"WITH T AS ({child_text}),\n"
         f"Base AS (SELECT {base_cols} FROM T WHERE {where})\n"
@@ -260,11 +246,7 @@ def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect):
         create = f"CREATE TEMP TABLE Data AS {input_data}"
     dims = split_by + node.extra_dims()
     quoted = [quote_ident(d, dialect) for d in dims]
-    cols = list(quoted)
-    cols.extend(
-        f"STDDEV({quote_ident(child_name, dialect)}) AS {quote_ident(name, dialect)}"
-        for child_name, name in zip(child.names(), node.names())
-    )
+    cols = quoted + [f"STDDEV({_name(child, dialect)}) AS {_name(node, dialect)}"]
     final = f"SELECT {', '.join(cols)} FROM SampleRes"
     if quoted:
         final += f" GROUP BY {', '.join(quoted)}"

@@ -184,15 +184,6 @@ class TestEvalCompositeFrames:
         out = eval_composite("div", frame, frame)
         assert all(v == (1.0,) for v in dict(out.rows).values())
 
-    def test_arity_mismatch_yields_nan_outer_join(self):
-        two = make_frame(["g"], [(("a",), (1.0, 2.0)), (("b",), (3.0, 4.0))], ["m1", "m2"])
-        three = make_frame(["g"], [(("b",), (1.0, 1.0, 1.0)), (("c",), (2.0, 2.0, 2.0))],
-                           ["n1", "n2", "n3"])
-        out = eval_composite("add", two, three)
-        assert set(dict(out.rows)) == {("a",), ("b",), ("c",)}
-        for values in dict(out.rows).values():
-            assert all(math.isnan(v) for v in values)
-
     def test_one_sided_keys_yield_nan(self):
         left = make_frame(["g"], [(("a",), (1.0,)), (("b",), (2.0,))], ["m"])
         right = make_frame(["g"], [(("a",), (10.0,))], ["m"])

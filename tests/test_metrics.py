@@ -13,6 +13,7 @@ from slicemetrics import (
     Jackknife,
     Max,
     Mean,
+    MetricsError,
     Min,
     NameArityError,
     PercentChange,
@@ -20,12 +21,14 @@ from slicemetrics import (
     ScalarLiteral,
     StdDev,
     Sum,
+    Table,
     UnknownColumn,
     Variance,
     combine,
     compute_on,
     pipe,
 )
+from slicemetrics.dsl import set_n_rep
 from slicemetrics.metrics import bind, columns_read, walk
 
 from helpers import random_pipeline, random_table
@@ -200,7 +203,7 @@ class TestStructure:
 
     def test_scalar_broadcast_builds(self):
         ci = Mean("x") + 1.96 / Count("x") ** 0.5 * StdDev("x")
-        assert ci.arity() == 1
+        assert ci.names() == ("mean_x_add_1_96_div_count_x_pow_0_5_mul_sd_x",)
         assert len(list(walk(ci))) == 9
 
     def test_construction_touches_no_data(self):
@@ -236,25 +239,23 @@ class TestStructure:
         assert Quantile("x", 0.5).serialize() == "quantile(var=x, q=0.5)"
         assert (Sum("x") + 2).serialize() == "add(left=sum(var=x), right=const(value=2.0))"
 
-    def test_names_arity_matches_evaluated_frame_width(self, fig2):
-        churn = (Sum("lost") / Count("lost")).set_names(["churn"])
-        chains = [
-            Sum("lost"),
-            churn,
-            churn | PercentChange("experiment", "control"),
-            churn | PercentChange("experiment", "control") | Bootstrap(5, seed=0),
-            Count("lost") | Distribution("region"),
-        ]
-        for metric in chains:
-            frame = compute_on(metric, fig2, ())
-            assert frame.value_columns == metric.names()
-            assert len(metric.names()) == metric.arity()
-
-    def test_names_arity_matches_frame_width(self, fig2):
+    def test_every_metric_has_one_value(self):
+        table = Table.from_dict({
+            "alpha": [1, 2, 2, None, 0], "beta": [0, 1, None, 1, 0],
+            "gamma": [2.5, 0.0, 1.0, 2.5, None],
+        })
         rng = random.Random(41)
-        for _ in range(20):
-            metric, _ = _random_op_chain(rng)
-            assert len(metric.names()) == metric.arity()
+        evaluated = 0
+        for _ in range(200):
+            metric = random_pipeline(rng)
+            assert len(metric.names()) == 1, metric
+            try:
+                frame = compute_on(set_n_rep(metric, 3), table)
+            except MetricsError:
+                continue
+            assert frame.value_columns == metric.names(), metric
+            evaluated += 1
+        assert evaluated > 100
 
     def test_pipe_function_matches_operator(self):
         assert pipe(Sum("x"), Distribution("g")) == (Sum("x") | Distribution("g"))
