@@ -112,13 +112,19 @@ def _name(metric: m.Metric, dialect: Dialect) -> str:
     return quote_ident(metric.names()[0], dialect)
 
 
+# sqlite reads this literal as inf, and 0 * inf as NULL.
+_INF = "9e999"
+
+
 def _arith_sql(op: str, left: str, right: str, dialect: Dialect) -> str:
     if op == "pow":
         return f"POWER({left}, {right})"
     if op == "div":
+        # IEEE, as in the compute engine: x/0 is +-inf and 0/0 NaN (NULL).
         if dialect is Dialect.PORTABLE:
-            return f"CAST({left} AS REAL) / {right}"
-        return f"{left} / {right}"
+            return (f"CASE WHEN {right} = 0 THEN {left} * {_INF}"
+                    f" ELSE CAST({left} AS REAL) / {right} END")
+        return f"IEEE_DIVIDE({left}, {right})"
     token = {"add": "+", "sub": "-", "mul": "*"}[op]
     return f"{left} {token} {right}"
 
@@ -204,9 +210,9 @@ def _change_sql(node: m._ChangeOperation, data, split_by, dialect):
     join_dims = [d for d in dims if d != node.condition]
     condition = quote_ident(node.condition, dialect)
     if node.baseline is None:
-        where = f"{condition} IS NULL"
+        is_baseline = "IS NULL"
     else:
-        where = f"{condition} = {literal(node.baseline, dialect)}"
+        is_baseline = f"= {literal(node.baseline, dialect)}"
     value = _name(node.child, dialect)
     quoted = [quote_ident(d, dialect) for d in join_dims]
     if dialect is Dialect.GOOGLESQL:
@@ -220,10 +226,12 @@ def _change_sql(node: m._ChangeOperation, data, split_by, dialect):
         change = f"({_arith_sql('div', f'T.{value}', f'Base.{value}', dialect)} - 1) * 100"
     else:
         change = f"T.{value} - Base.{value}"
+    # Baseline rows are 0, as in the compute engine, even where their value is not finite.
+    change = f"CASE WHEN T.{condition} {is_baseline} THEN 0.0 ELSE {change} END"
     cols = [f"T.{quote_ident(d, dialect)}" for d in dims] + [f"{change} AS {_name(node, dialect)}"]
     text = (
         f"WITH T AS ({child_text}),\n"
-        f"Base AS (SELECT {base_cols} FROM T WHERE {where})\n"
+        f"Base AS (SELECT {base_cols} FROM T WHERE {condition} {is_baseline})\n"
         f"SELECT {', '.join(cols)} FROM T LEFT JOIN Base ON {on}"
     )
     return text, preamble
@@ -246,7 +254,13 @@ def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect):
         create = f"CREATE TEMP TABLE Data AS {input_data}"
     dims = split_by + node.extra_dims()
     quoted = [quote_ident(d, dialect) for d in dims]
-    cols = quoted + [f"STDDEV({_name(child, dialect)}) AS {_name(node, dialect)}"]
+    # Only finite replicate values count, as in the compute engine.
+    value = _name(child, dialect)
+    if dialect is Dialect.GOOGLESQL:
+        finite = f"NOT IS_INF({value}) AND NOT IS_NAN({value})"
+    else:
+        finite = f"ABS({value}) < {_INF}"
+    cols = quoted + [f"STDDEV(CASE WHEN {finite} THEN {value} END) AS {_name(node, dialect)}"]
     final = f"SELECT {', '.join(cols)} FROM SampleRes"
     if quoted:
         final += f" GROUP BY {', '.join(quoted)}"

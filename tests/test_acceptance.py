@@ -64,14 +64,19 @@ def test_criterion_2_baseline_rows_are_exactly_zero():
     checked = 0
     for _ in range(100):
         table = random_table(rng, null_rate=0.1)
+        full = random_table(rng, null_rate=0.0)
         for op in (PercentChange("arm", "control"), AbsoluteChange("arm", "control")):
-            frame = compute_on(Sum("y") | op, table, ("g1",))
+            metric = Sum("y") | op
+            frame = compute_on(metric, table, ("g1",))
+            sql = execute_query(to_sql(metric, "d", ("g1",)), {"d": table})
             for key, values in frame.rows:
                 if key[frame.key_columns.index("arm")] == "control":
-                    assert values == (0.0,), (key, values)
+                    assert values == sql[key] == (0.0,), (key, values, sql[key])
                     checked += 1
+            assert_backend_equal(metric, full, ("g1",))
     assert checked > 100
-    report(2, f"{checked} baseline rows across 100 random tables are exactly 0")
+    report(2, f"{checked} baseline rows across 100 random tables are exactly 0 in both"
+              " backends, which agree on every row of 100 tables without nulls")
 
 
 def test_criterion_3_distribution_sums_to_one():

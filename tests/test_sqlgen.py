@@ -43,7 +43,7 @@ def churn_metric():
 
 class TestSqlExpr:
     def test_ratio(self):
-        assert sql_expr(Sum("lost") / Count("lost"), GOOGLE) == "SUM(lost) / COUNT(lost)"
+        assert sql_expr(Sum("lost") / Count("lost"), GOOGLE) == "IEEE_DIVIDE(SUM(lost), COUNT(lost))"
 
     def test_simple_sum(self):
         assert sql_expr(Sum("x"), GOOGLE) == "SUM(x)"
@@ -56,7 +56,9 @@ class TestSqlExpr:
         assert expr == "(SUM(a) + COUNT(b)) * 3.0"
 
     def test_portable_division_casts(self):
-        assert sql_expr(Sum("x") / Count("x"), PORTABLE) == "CAST(SUM(x) AS REAL) / COUNT(x)"
+        assert sql_expr(Sum("x") / Count("x"), PORTABLE) == (
+            "CASE WHEN COUNT(x) = 0 THEN SUM(x) * 9e999 ELSE CAST(SUM(x) AS REAL) / COUNT(x) END"
+        )
 
     def test_power_is_a_function_call(self):
         assert sql_expr(Count("x") ** 0.5, GOOGLE) == "POWER(COUNT(x), 0.5)"
@@ -79,7 +81,7 @@ class TestSqlExpr:
 class TestSqlAggregate:
     def test_no_dims(self):
         got = sql_aggregate(churn_metric(), "t", [], GOOGLE)
-        assert got == "SELECT SUM(lost) / COUNT(lost) AS churn FROM t"
+        assert got == "SELECT IEEE_DIVIDE(SUM(lost), COUNT(lost)) AS churn FROM t"
 
     def test_dims_add_group_by(self):
         got = sql_aggregate(Sum("x"), "tbl", ["g"], GOOGLE)
@@ -123,7 +125,7 @@ class TestToSql:
     def test_percent_change_without_dims_joins_on_true(self, fig2):
         q = to_sql(churn_metric() | PercentChange("experiment", "control"), "d", (), GOOGLE)
         assert "T LEFT JOIN Base ON TRUE" in q.text
-        assert "(T.churn / Base.churn - 1) * 100" in q.text
+        assert "(IEEE_DIVIDE(T.churn, Base.churn) - 1) * 100" in q.text
 
     def test_percent_change_with_dims_joins_null_safe(self, mixed):
         q = to_sql(Sum("v") | PercentChange("h", "x"), "d", ("g",), GOOGLE)
@@ -190,7 +192,7 @@ class TestGoldenSnapshots:
                       "events", (), GOOGLE).render()
         assert "T LEFT JOIN Base ON TRUE" in text
         assert "SELECT * EXCEPT (experiment)" in text
-        assert "(T.churn / Base.churn - 1) * 100" in text
+        assert "(IEEE_DIVIDE(T.churn, Base.churn) - 1) * 100" in text
 
     def test_bootstrap_fragments(self):
         metric = churn_metric() | PercentChange("experiment", "control") | Bootstrap(100, seed=0)
@@ -353,6 +355,48 @@ class TestBootstrapEquivalence:
         rows = execute_query(q, {"d": mixed})
         assert set(rows) == {("a",), ("b",)}
         assert all(v[0] >= 0 or math.isnan(v[0]) for v in rows.values())
+
+
+class TestZeroDenominators:
+    # Division follows IEEE in both backends: x/0 is +-inf and 0/0 is NaN
+    # (NULL in SQL), and a change's baseline rows are 0 whatever their value.
+
+    def test_percent_change_against_a_zero_baseline(self):
+        t = Table.from_dict({"arm": ["c", "c", "t", "u"], "x": [0, 0, 3, 0]})
+        metric = Sum("x") | PercentChange("arm", "c")
+        frame = dict(compute_on(metric, t).rows)
+        assert frame[("c",)] == (0.0,) and frame[("t",)] == (math.inf,)
+        assert math.isnan(frame[("u",)][0])
+        assert_backend_equal(metric, t, ())
+        assert "IEEE_DIVIDE(T.sum_x, Base.sum_x)" in to_sql(metric, "d", (), GOOGLE).text
+
+    def test_ratio_over_a_zero_sum(self):
+        t = Table.from_dict({"g": ["a", "b", "c"], "x": [0, 0, 0], "y": [2, -3, 0]})
+        metric = Sum("y") / Sum("x")
+        frame = dict(compute_on(metric, t, ("g",)).rows)
+        assert frame[("a",)] == (math.inf,) and frame[("b",)] == (-math.inf,)
+        assert math.isnan(frame[("c",)][0])
+        assert_backend_equal(metric, t, ("g",))
+        assert sql_expr(metric, GOOGLE) == "IEEE_DIVIDE(SUM(y), SUM(x))"
+
+    def test_distribution_over_a_zero_total(self):
+        t = Table.from_dict({"g": ["a", "a", "b", "b"], "h": [1, 2, 1, 2], "x": [1, -1, 0, 0]})
+        assert_backend_equal(Sum("x") | Distribution("h"), t, ("g",))
+
+    def test_baseline_row_is_zero_when_its_value_is_not_finite(self):
+        t = Table.from_dict({"arm": ["c", "t"], "x": [0, 1], "y": [1, 1]})
+        for change in (PercentChange("arm", "c"), AbsoluteChange("arm", "c")):
+            metric = Sum("y") / Sum("x") | change
+            assert dict(compute_on(metric, t).rows)[("c",)] == (0.0,)
+            assert_backend_equal(metric, t, ())
+
+    def test_bootstrap_se_reads_only_finite_replicates(self):
+        t = Table.from_dict({"x": [0, 0, 0, 1, 2], "y": [1, 1, 1, 1, 1]})
+        metric = Sum("y") / Sum("x") | Bootstrap(40, seed=1)
+        assert math.isfinite(compute_on(metric, t).single_value())
+        (sql_se,) = execute_query(to_sql(metric, "d"), {"d": t})[()]
+        assert math.isfinite(sql_se)
+        assert "IS_INF(" in to_sql(metric, "d", (), GOOGLE).text
 
 
 class TestBackendEquivalenceSpot:
