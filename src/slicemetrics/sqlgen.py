@@ -242,6 +242,7 @@ def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect):
     if any(isinstance(n, m.Bootstrap) for n in m.walk(child)):
         raise NestedBootstrap("Bootstrap cannot contain another Bootstrap in SQL generation")
     columns = sorted(m.columns_read(child) - set(split_by))
+    _check_bootstrap_names(child, split_by, columns)
     input_data, samples = resample_n_times_sql(
         data, split_by, node.n_rep, dialect, seed=node.seed, columns=columns
     )
@@ -268,6 +269,24 @@ def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect):
     return text, list(child_preamble) + [create]
 
 
+def _check_bootstrap_names(child: m.Metric, split_by, columns):
+    """Raise if an input or value column takes a name the bootstrap SQL adds.
+
+    Split columns ride unqualified through every level of the draw, so they
+    may take none of its names. The draw reads the rest by table: read columns
+    meet only Data's and Samples' own columns, and the child's value names
+    only the replicate index, a key of every frame under the bootstrap.
+    """
+    frames = [child] + [n.child for n in m.walk(child) if isinstance(n, m.Operation)]
+    clashes = [c for c in split_by if c in _BOOTSTRAP_COLUMNS]
+    clashes += [c for c in columns if c in _SAMPLE_COLUMNS]
+    clashes += [f.names()[0] for f in frames if f.names()[0] == "sample_idx"]
+    if clashes:
+        raise UnsupportedInDialect(
+            f"bootstrap SQL uses the column name {clashes[0]!r} itself; rename that column"
+        )
+
+
 # The draw hash works on 30-bit integers: every intermediate of a round fits
 # in a 64-bit integer. A round is quadratic, then affine (the quadratic step
 # breaks the lattice structure a pure LCG would give); both steps, and so
@@ -291,13 +310,27 @@ def _mod(a: str, dialect: Dialect) -> str:
     return f"(({a}) % {_STATES})"
 
 
+def _mix_names(name: str) -> tuple[str, ...]:
+    """The columns ``_mix_sql`` makes: one per round's input, then ``name``."""
+    return tuple(f"{name}_{i}" for i in range(len(_ROUNDS))) + (name,)
+
+
+# The columns the bootstrap SQL adds beside the input's: Data numbers each
+# slice's rows, Samples adds the replicate index, and the draw hash names
+# each level of the replicate's and the row's state.
+_SAMPLE_COLUMNS = ("row_number", "slice_size", "sample_idx")
+_BOOTSTRAP_COLUMNS = frozenset(
+    _SAMPLE_COLUMNS + _mix_names("replicate_state") + _mix_names("rand")
+)
+
+
 def _mix_sql(source: str, keep: str, x: str, name: str, dialect: Dialect) -> str:
     """SELECT keep, _mix(x) AS name FROM source.
 
     Each round reads its input twice, so every round is its own subquery
     and the text stays linear in the number of rounds.
     """
-    names = [f"{name}_{i}" for i in range(len(_ROUNDS))] + [name]
+    names = _mix_names(name)
     query = f"SELECT {keep}, {_mod(x, dialect)} AS {names[0]} FROM {source}"
     for c, arg, out in zip(_ROUNDS, names, names[1:]):
         quadratic = _mod(f"{arg} * (1 + 4 * {arg})", dialect)

@@ -138,6 +138,22 @@ class TestSqlMode:
         assert code == 0
         assert "UNNEST(GENERATE_ARRAY(1, 77))" in out
 
+    @pytest.mark.parametrize("csv, metric, split_by, name", [
+        (b"rand,x\na,1\na,2\nb,4\n", "mean(x) | bootstrap(5)", "rand", "rand"),
+        (b"g,row_number\na,1\na,2\nb,4\n", "mean(row_number) | bootstrap(5)", "g",
+         "row_number"),
+        (b"g,sample_idx\na,1\na,2\nb,4\n", "mean(sample_idx) | bootstrap(5)", "g",
+         "sample_idx"),
+    ], ids=["split_rand", "read_row_number", "read_sample_idx"])
+    def test_bootstrap_rejects_its_own_column_names(self, capsys, tmp_path, csv, metric,
+                                                    split_by, name):
+        path = tmp_path / "events.csv"
+        path.write_bytes(csv)
+        code, out, err = run_cli(capsys, "--input", str(path), "--metric", metric,
+                                 "--split-by", split_by, "--mode", "sql")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and repr(name) in err
+
     def test_multiple_metrics_emit_multiple_queries(self, capsys):
         code, out, _ = run_cli(
             capsys, "--metric", "sum(a); count(b)", "--mode", "sql"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -26,8 +27,10 @@ from slicemetrics import (
     compute_on,
     to_sql,
 )
-from slicemetrics.metrics import ScalarLiteral, bind
-from slicemetrics.sqlgen import resample_n_times_sql, sql_aggregate, sql_expr
+from slicemetrics.metrics import ScalarLiteral, bind, walk
+from slicemetrics.sqlgen import (
+    _BOOTSTRAP_COLUMNS, resample_n_times_sql, sql_aggregate, sql_expr,
+)
 
 from helpers import (
     assert_backend_equal, connect, execute_query, grid_table, load_table, random_pipeline,
@@ -349,6 +352,36 @@ class TestBootstrapEquivalence:
         rows = execute_query(to_sql(metric, "d", ("g",), PORTABLE), {"d": t})
         assert set(rows) == {key for key, _ in compute_on(metric, t, ("g",)).rows}
         assert rows[("b",)] == (0.0,)
+
+    @pytest.mark.parametrize("metric, columns, split", [
+        (Mean("x") | Bootstrap(5, seed=1), {"rand": ["a", "a", "b"]}, ("rand",)),
+        (Mean("row_number") | Bootstrap(5), {"g": ["a", "a", "b"]}, ("g",)),
+        (Mean("sample_idx") | Bootstrap(5), {"g": ["a", "a", "b"]}, ("g",)),
+        (Mean("x") | Bootstrap(5), {"replicate_state": ["a", "a", "b"]}, ("replicate_state",)),
+        (Mean("slice_size") | Bootstrap(5), {}, ()),
+        (Mean("x").set_names(["sample_idx"]) | Bootstrap(5), {"g": ["a", "a", "b"]}, ("g",)),
+    ], ids=["split_rand", "read_row_number", "read_sample_idx", "split_replicate_state",
+            "read_slice_size", "value_sample_idx"])
+    def test_input_columns_named_like_its_own_are_rejected(self, metric, columns, split):
+        # Each ran at the parent: the first two gave wrong SEs (0.0, or no
+        # rows at all), the third an ambiguous column in sqlite.
+        values = [1.0, 2.0, 4.0]
+        t = Table.from_dict({"x": values, "row_number": values, "sample_idx": values,
+                             "slice_size": values, **columns})
+        assert compute_on(metric, t, split).rows
+        for dialect in Dialect:
+            with pytest.raises(UnsupportedInDialect, match="rename"):
+                to_sql(metric, "d", split, dialect)
+
+    def test_reserved_names_are_the_bootstrap_sql_columns(self):
+        # The column aliases of the bootstrap SQL, other than the metric's
+        # values, are the set the input is checked against.
+        metric = Mean("x") | Distribution("h") | PercentChange("arm", "c") | Bootstrap(3)
+        values = {node.names()[0] for node in walk(metric)}
+        for dialect in Dialect:
+            text = to_sql(metric, "d", ("g",), dialect).render()
+            found = re.findall(r" AS ([a-z_0-9]+)\b|RECURSIVE \w+\((\w+)\)", text)
+            assert {a or b for a, b in found} - values == _BOOTSTRAP_COLUMNS
 
     def test_grouped_bootstrap_executes(self, mixed):
         q = to_sql(Mean("v") | Bootstrap(60, seed=5), "d", ("g",), PORTABLE)
