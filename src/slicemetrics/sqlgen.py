@@ -5,15 +5,17 @@ Simple metrics become a single aggregation query. Operations wrap their
 child's query in CTEs: a distribution divides by a window sum, changes join
 the child against a baseline selection, and bootstrap numbers the rows of
 each slice once in a temp table (the preamble), draws rows per replicate by
-joining seeded row numbers back to it, and aggregates the per-replicate
-results with STDDEV.
+joining seeded row numbers back to it, and aggregates the finite
+per-replicate results with STDDEV.
 
-Two dialects are supported. ``portable`` targets engines like SQLite: real
-division is forced with CASTs and the replicate series is a recursive CTE.
-``googlesql`` emits BigQuery style SQL (``SELECT * EXCEPT``,
-``UNNEST(GENERATE_ARRAY(...))``, ``MOD``) and is not executed by the test
-harness. Both draw bootstrap rows with the same integer hash of (seed,
-replicate, row), so the query text alone fixes the draw.
+Division follows IEEE, as in the compute engine: x/0 is +-inf and 0/0 is
+NULL (NaN). Two dialects are supported. ``portable`` targets engines like
+SQLite: division is a CASE over the denominator with a CAST to REAL, and the
+replicate series is a recursive CTE. ``googlesql`` emits BigQuery style SQL
+(``IEEE_DIVIDE``, ``SELECT * EXCEPT``, ``UNNEST(GENERATE_ARRAY(...))``,
+``MOD``) and is not executed by the test harness. Both draw bootstrap rows
+with the same integer hash of (seed, replicate, row), so the query text
+alone fixes the draw.
 """
 
 from __future__ import annotations

@@ -46,7 +46,8 @@ def churn_metric():
 
 class TestSqlExpr:
     def test_ratio(self):
-        assert sql_expr(Sum("lost") / Count("lost"), GOOGLE) == "IEEE_DIVIDE(SUM(lost), COUNT(lost))"
+        expr = sql_expr(Sum("lost") / Count("lost"), GOOGLE)
+        assert expr == "IEEE_DIVIDE(SUM(lost), COUNT(lost))"
 
     def test_simple_sum(self):
         assert sql_expr(Sum("x"), GOOGLE) == "SUM(x)"
