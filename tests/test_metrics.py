@@ -239,7 +239,21 @@ class TestStructure:
         assert Quantile("x", 0.5).serialize() == "quantile(var=x, q=0.5)"
         assert (Sum("x") + 2).serialize() == "add(left=sum(var=x), right=const(value=2.0))"
 
-    def test_every_metric_has_one_value(self):
+    def test_names_arity_matches_evaluated_frame_width(self, fig2):
+        churn = (Sum("lost") / Count("lost")).set_names(["churn"])
+        chains = [
+            Sum("lost"),
+            churn,
+            churn | PercentChange("experiment", "control"),
+            churn | PercentChange("experiment", "control") | Bootstrap(5, seed=0),
+            Count("lost") | Distribution("region"),
+        ]
+        for metric in chains:
+            frame = compute_on(metric, fig2, ())
+            assert frame.value_columns == metric.names()
+            assert len(metric.names()) == 1
+
+    def test_names_arity_matches_frame_width(self):
         table = Table.from_dict({
             "alpha": [1, 2, 2, None, 0], "beta": [0, 1, None, 1, 0],
             "gamma": [2.5, 0.0, 1.0, 2.5, None],
