@@ -134,7 +134,7 @@ def _composite_side(side: m.Metric, table, split_by, ctx):
 
 def eval_leaf(leaf: m._LeafAggregate, values: list) -> float:
     """Reduce one slice's cells of the leaf's column to a float, skipping nulls."""
-    if leaf.kind == "count":
+    if leaf.tag == "count":
         return float(sum(1 for v in values if v is not None))
     numeric: list[float] = []
     for v in values:
@@ -142,11 +142,11 @@ def eval_leaf(leaf: m._LeafAggregate, values: list) -> float:
             continue
         if isinstance(v, str):
             raise TypeMismatch(
-                f"cannot aggregate text cell {v!r} in column {leaf.var!r} with {leaf.kind}"
+                f"cannot aggregate text cell {v!r} in column {leaf.var!r} with {leaf.tag}"
             )
         numeric.append(float(v))
     n = len(numeric)
-    kind = leaf.kind
+    kind = leaf.tag
     if kind == "sum":
         return math.fsum(numeric)
     if kind == "mean":
@@ -274,8 +274,10 @@ def _eval_distribution(node, table, split_by, ctx):
     at = len(split_by)
     totals: dict[tuple, float] = {}
     for key, (v,) in child_frame.rows:
+        # NaN rows stay out of the total, as NULLs do in SQL's window SUM.
         slice_key = key[:at] + key[at + 1:]
-        totals[slice_key] = totals.get(slice_key, 0.0) + v
+        total = totals.get(slice_key, 0.0)
+        totals[slice_key] = total if math.isnan(v) else total + v
     rows = tuple((key, (_apply("div", v, totals[key[:at] + key[at + 1:]]),))
                  for key, (v,) in child_frame.rows)
     return ResultFrame(child_frame.key_columns, node.names(), rows)

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from . import metrics as m
 from .errors import DslError
 
-DEFAULT_N_REP = 100
-
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -210,8 +208,8 @@ class _Parser:
 
     def parse_call(self) -> m.Metric:
         name_tok = self.advance()
-        builder = _BUILDERS.get(name_tok.text)
-        if builder is None:
+        cls = _BUILDERS.get(name_tok.text)
+        if cls is None:
             hint = difflib.get_close_matches(name_tok.text, _BUILDERS, n=1)
             extra = f"; did you mean {hint[0]!r}?" if hint else ""
             raise DslError(
@@ -229,7 +227,20 @@ class _Parser:
                     continue
                 break
         self.expect_op(")")
-        return builder(self, name_tok, args)
+        return self.build(cls, name_tok, args)
+
+    def build(self, cls, call: Token, args: list[Token]) -> m.Metric:
+        """Read each written argument through its role's reader; bind the seed."""
+        written = _WRITTEN[cls.tag]
+        least = sum(role != m.COUNT for _, role in written)
+        if not least <= len(args) <= len(written):
+            most = len(written)
+            want = str(most) if least == most else f"{least} to {most}"
+            _arg_error(call, f"{call.text} takes {want} argument(s), got {len(args)}")
+        values = {f: _READERS[role](call, i, f, tok)
+                  for i, ((f, role), tok) in enumerate(zip(written, args))}
+        values.update((f, self.seed) for f, role in cls.args if role == m.SEED)
+        return cls(**values)
 
 
 def _number(text: str) -> float:
@@ -244,42 +255,13 @@ def _arg_error(tok: Token, message: str):
     raise DslError(message, tok.line, tok.col)
 
 
-def _want_column(name_tok: Token, args: list[Token], i: int) -> str:
-    if len(args) <= i or args[i].kind != "name":
-        _arg_error(name_tok, f"{name_tok.text} needs a column name at argument {i + 1}")
-    return args[i].text
+def _column(call: Token, i: int, field: str, tok: Token) -> str:
+    if tok.kind != "name":
+        _arg_error(call, f"{call.text} needs a column name at argument {i + 1}")
+    return tok.text
 
 
-def _want_count(name_tok: Token, args: list[Token], n: int):
-    if len(args) != n:
-        _arg_error(name_tok, f"{name_tok.text} takes {n} argument(s), got {len(args)}")
-
-
-def _leaf(cls):
-    def build(parser: _Parser, name_tok: Token, args: list[Token]) -> m.Metric:
-        _want_count(name_tok, args, 1)
-        return cls(_want_column(name_tok, args, 0))
-
-    return build
-
-
-def _build_quantile(parser, name_tok, args):
-    _want_count(name_tok, args, 2)
-    var = _want_column(name_tok, args, 0)
-    if args[1].kind != "number":
-        _arg_error(args[1], "quantile needs a numeric q in [0, 1]")
-    q = _number(args[1].text)
-    if not 0.0 <= q <= 1.0:
-        _arg_error(args[1], f"quantile q must be in [0, 1], got {q}")
-    return m.Quantile(var, q)
-
-
-def _build_distribution(parser, name_tok, args):
-    _want_count(name_tok, args, 1)
-    return m.Distribution(_want_column(name_tok, args, 0))
-
-
-def _baseline_cell(tok: Token):
+def _baseline_cell(call: Token, i: int, field: str, tok: Token):
     if tok.kind == "string":
         return _unquote(tok.text)
     if tok.kind == "number":
@@ -292,50 +274,52 @@ def _baseline_cell(tok: Token):
     _arg_error(tok, "baseline must be a quoted string or a number")
 
 
-def _change(cls):
-    def build(parser: _Parser, name_tok: Token, args: list[Token]) -> m.Metric:
-        _want_count(name_tok, args, 2)
-        condition = _want_column(name_tok, args, 0)
-        return cls(condition, _baseline_cell(args[1]))
-
-    return build
-
-
-def _build_bootstrap(parser: _Parser, name_tok, args):
-    if len(args) > 1:
-        _arg_error(name_tok, f"bootstrap takes at most 1 argument, got {len(args)}")
-    n_rep = DEFAULT_N_REP
-    if args:
-        if args[0].kind != "number" or not args[0].text.isdecimal():
-            _arg_error(args[0], "bootstrap replicate count must be an integer literal")
-        try:
-            n_rep = int(args[0].text)
-        except ValueError:  # more digits than int() converts
-            _arg_error(args[0], "bootstrap replicate count is too large")
-        if n_rep < 1:
-            _arg_error(args[0], f"bootstrap replicate count must be positive, got {n_rep}")
-    return m.Bootstrap(n_rep, seed=parser.seed)
+def _probability(call: Token, i: int, field: str, tok: Token) -> float:
+    if tok.kind != "number":
+        _arg_error(tok, f"{call.text} needs a numeric {field} in [0, 1]")
+    p = _number(tok.text)
+    if not 0.0 <= p <= 1.0:
+        _arg_error(tok, f"{call.text} {field} must be in [0, 1], got {p}")
+    return p
 
 
-def _build_jackknife(parser, name_tok, args):
-    _want_count(name_tok, args, 1)
-    return m.Jackknife(_want_column(name_tok, args, 0))
+def _replicate_count(call: Token, i: int, field: str, tok: Token) -> int:
+    if tok.kind != "number" or not tok.text.isdecimal():
+        _arg_error(tok, f"{call.text} replicate count must be an integer literal")
+    try:
+        n = int(tok.text)
+    except ValueError:  # more digits than int() converts
+        _arg_error(tok, f"{call.text} replicate count is too large")
+    if n < 1:
+        _arg_error(tok, f"{call.text} replicate count must be positive, got {n}")
+    return n
 
 
-_BUILDERS = {
-    "sum": _leaf(m.Sum),
-    "count": _leaf(m.Count),
-    "mean": _leaf(m.Mean),
-    "min": _leaf(m.Min),
-    "max": _leaf(m.Max),
-    "variance": _leaf(m.Variance),
-    "sd": _leaf(m.StdDev),
-    "quantile": _build_quantile,
-    "distribution": _build_distribution,
-    "percent_change": _change(m.PercentChange),
-    "absolute_change": _change(m.AbsoluteChange),
-    "bootstrap": _build_bootstrap,
-    "jackknife": _build_jackknife,
+# How a call argument of each role is read; SEED and METRIC are never written.
+_READERS = {
+    m.COLUMN: _column,
+    m.DIM: _column,
+    m.CELL: _baseline_cell,
+    m.PROB: _probability,
+    m.COUNT: _replicate_count,
+}
+
+
+def _kinds(cls):
+    """Every subclass of ``cls`` that declares a tag of its own, preorder."""
+    for sub in cls.__subclasses__():
+        if isinstance(sub.__dict__.get("tag"), str):
+            yield sub
+        yield from _kinds(sub)
+
+
+# Every node kind is a call named by its tag, except the number literal.
+_BUILDERS = {cls.tag: cls for cls in _kinds(m.Metric) if cls is not m.ScalarLiteral}
+
+# Each call's written arguments, in order; an omitted COUNT takes its default.
+_WRITTEN = {
+    tag: tuple((f, role) for f, role in cls.args if role in _READERS)
+    for tag, cls in _BUILDERS.items()
 }
 
 
@@ -349,16 +333,8 @@ def parse(src: str, seed: int = 0) -> DslProgram:
 
 def set_n_rep(metric: m.Metric, n_rep: int) -> m.Metric:
     """Rebuild the tree with every bootstrap node using the given n_rep."""
-    if isinstance(metric, m.Bootstrap):
-        child = set_n_rep(metric.child, n_rep) if metric.child else None
-        return dataclasses.replace(metric, n_rep=n_rep, child=child)
-    if isinstance(metric, m.Operation) and metric.child is not None:
-        return dataclasses.replace(metric, child=set_n_rep(metric.child, n_rep))
-    if isinstance(metric, m.Composite):
-        return dataclasses.replace(
-            metric, left=set_n_rep(metric.left, n_rep), right=set_n_rep(metric.right, n_rep)
-        )
-    return metric
+    return metric.map(lambda node: dataclasses.replace(node, n_rep=n_rep)
+                      if isinstance(node, m.Bootstrap) else node)
 
 
 # -- pretty printing -----------------------------------------------------------
@@ -389,12 +365,6 @@ def _render(metric: m.Metric) -> tuple[str, int]:
         rename = f' as "{_escape(metric.names_override[0])}"'
     if isinstance(metric, m.ScalarLiteral):
         return repr(metric.value) + rename, _LEVEL_PIPE if rename else _LEVEL_ATOM
-    if isinstance(metric, m._LeafAggregate):
-        if isinstance(metric, m.Quantile):
-            text = f"quantile({metric.var}, {metric.q!r})"
-        else:
-            text = f"{metric.kind}({metric.var})"
-        return text + rename, _LEVEL_PIPE if rename else _LEVEL_ATOM
     if isinstance(metric, m.Composite):
         if metric.op == "pow":
             base = _print(metric.left, _LEVEL_ATOM)
@@ -406,27 +376,17 @@ def _render(metric: m.Metric) -> tuple[str, int]:
         right = _print(metric.right, level + 1)
         text = f"{left} {_OP_TEXT[metric.op]} {right}"
         return text + rename, _LEVEL_PIPE if rename else level
-    if isinstance(metric, m.Operation):
-        child = metric.child
-        if child is None:
-            raise ValueError(f"cannot print a childless {type(metric).__name__}")
-        text = f"{_print(child, _LEVEL_PIPE)} | {_call_text(metric)}"
-        return text + rename, _LEVEL_PIPE
-    raise TypeError(f"cannot print {type(metric).__name__}")
+    if not isinstance(metric, m.Operation):
+        return _call_text(metric) + rename, _LEVEL_PIPE if rename else _LEVEL_ATOM
+    if metric.child is None:
+        raise ValueError(f"cannot print a childless {type(metric).__name__}")
+    text = f"{_print(metric.child, _LEVEL_PIPE)} | {_call_text(metric)}"
+    return text + rename, _LEVEL_PIPE
 
 
-def _call_text(node: m.Operation) -> str:
-    if isinstance(node, m.Distribution):
-        return f"distribution({node.over})"
-    if isinstance(node, m.PercentChange):
-        return f"percent_change({node.condition}, {_cell_text(node.baseline)})"
-    if isinstance(node, m.AbsoluteChange):
-        return f"absolute_change({node.condition}, {_cell_text(node.baseline)})"
-    if isinstance(node, m.Bootstrap):
-        return f"bootstrap({node.n_rep})"
-    if isinstance(node, m.Jackknife):
-        return f"jackknife({node.unit})"
-    raise TypeError(f"cannot print {type(node).__name__}")
+def _call_text(node: m.Metric) -> str:
+    args = ", ".join(_PRINTERS[role](getattr(node, f)) for f, role in _WRITTEN[node.tag])
+    return f"{node.tag}({args})"
 
 
 def _cell_text(cell) -> str:
@@ -439,3 +399,7 @@ def _cell_text(cell) -> str:
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+# How a call argument of each role is printed; the inverse of _READERS.
+_PRINTERS = {m.COLUMN: str, m.DIM: str, m.CELL: _cell_text, m.PROB: repr, m.COUNT: str}

@@ -22,8 +22,6 @@ from typing import ClassVar
 from .errors import BindError, NameArityError, UnknownColumn
 from .table import Cell
 
-_NAME_OK = re.compile(r"[a-z0-9_]+")
-
 
 def sanitize_name(text: str) -> str:
     """Lowercase and squash anything outside [a-z0-9_] to underscores."""
@@ -45,15 +43,48 @@ def serialize_cell(v: Cell) -> str:
     return f"int:{v!r}"
 
 
+# The roles a node's arguments play. ``args`` lists a node kind's fields in
+# order with their roles; the generic code below reads it to serialize,
+# to find the columns a node reads and the dimensions it adds, and to rewrite
+# trees, and ``dsl`` reads it to parse and print calls.
+COLUMN = "column"  # an input column the node reads
+DIM = "dim"  # an input column the node reads and adds to its output key
+CELL = "cell"  # a baseline literal
+NUMBER = "number"  # a scalar literal's value
+PROB = "prob"  # a number in [0, 1]
+COUNT = "count"  # an optional positive integer literal: the replicate count
+SEED = "seed"  # bound by the DSL parser, never written in the DSL
+METRIC = "metric"  # a subtree
+
+
+def _no_child(node: "Metric"):
+    raise BindError(f"{type(node).__name__} must modify another metric; pipe one in first")
+
+
+_SERIAL = {
+    COLUMN: str, DIM: str, CELL: serialize_cell, NUMBER: repr, PROB: repr, COUNT: str,
+    SEED: str,
+}
+
+
 @dataclass(frozen=True)
 class Metric:
-    """Base node. Subclasses define default names and extra dims.
+    """Base node. Subclasses declare ``tag``, ``args`` and, for operations, ``prefix``.
 
     A metric has one value per slice, so ``names()`` is a 1-tuple; only a
     jointly computed list of metrics gives a frame several value columns.
     """
 
     names_override: tuple[str, ...] | None = field(default=None, kw_only=True)
+
+    tag: ClassVar[str] = ""  # the DSL function name and the serialization tag
+    args: ClassVar[tuple[tuple[str, str], ...]] = ()  # (field, role) in order
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._reads = tuple(f for f, role in cls.args if role in (COLUMN, DIM))
+        cls._dims = tuple(f for f, role in cls.args if role == DIM)
+        cls._children = tuple(f for f, role in cls.args if role == METRIC)
 
     # -- naming ------------------------------------------------------------
 
@@ -73,19 +104,53 @@ class Metric:
 
     # -- structure ----------------------------------------------------------
 
-    def extra_dims(self) -> tuple[str, ...]:
-        """Key columns this metric adds to the output beyond split_by."""
-        return ()
-
     def reads(self) -> tuple[str, ...]:
         """Input columns this node itself reads, not counting its children."""
-        return ()
+        return tuple([getattr(self, f) for f in self._reads])
+
+    def dims(self) -> tuple[str, ...]:
+        """Dimensions this node itself adds to its children's split."""
+        return tuple([getattr(self, f) for f in self._dims])
 
     def children(self) -> tuple["Metric", ...]:
-        return ()
+        kids = [getattr(self, f) for f in self._children]
+        return tuple([kid for kid in kids if kid is not None])
+
+    def extra_dims(self) -> tuple[str, ...]:
+        """Key columns this metric adds to the output beyond split_by.
+
+        Its own dimensions, then its children's, merged as frames join: the
+        first child's keys, then each later child's keys not yet present.
+        """
+        dims = list(self.dims())
+        children = self.children()
+        if children:
+            dims += children[0].extra_dims()
+        for child in children[1:]:
+            dims.extend(d for d in child.extra_dims() if d not in dims)
+        return tuple(dims)
+
+    def map(self, fn) -> "Metric":
+        """The tree with ``fn`` applied to every node, children first."""
+        kids = {f: getattr(self, f).map(fn) for f in self._children
+                if getattr(self, f) is not None}
+        return fn(dataclasses.replace(self, **kids) if kids else self)
 
     def serialize(self) -> str:
-        raise NotImplementedError
+        parts = []
+        for f, role in self.args:
+            value = getattr(self, f)
+            if role != METRIC:
+                parts.append(f"{f}={_SERIAL[role](value)}")
+            elif value is None:
+                _no_child(self)
+            else:
+                parts.append(f"{f}={value.serialize()}")
+        body = f"{self.tag}({', '.join(parts)})"
+        if self.names_override is None:
+            return body
+        rendered = ",".join(repr(n) for n in self.names_override)
+        return f"named(names=[{rendered}], child={body})"
 
     # -- algebra ------------------------------------------------------------
 
@@ -126,11 +191,11 @@ class ScalarLiteral(Metric):
 
     value: float
 
+    tag = "const"
+    args = (("value", NUMBER),)
+
     def default_names(self):
         return (_number_token(self.value),)
-
-    def serialize(self):
-        return _with_names(self, f"const(value={self.value!r})")
 
 
 @dataclass(frozen=True)
@@ -139,55 +204,49 @@ class _LeafAggregate(Metric):
 
     var: str
 
-    kind: ClassVar[str] = ""  # fixed per subclass
+    args = (("var", COLUMN),)
 
     def default_names(self):
-        return (f"{self.kind}_{sanitize_name(self.var)}",)
-
-    def reads(self):
-        return (self.var,)
-
-    def serialize(self):
-        return _with_names(self, f"{self.kind}(var={self.var})")
+        return (f"{self.tag}_{sanitize_name(self.var)}",)
 
 
 @dataclass(frozen=True)
 class Sum(_LeafAggregate):
-    kind: ClassVar[str] = "sum"
+    tag = "sum"
 
 
 @dataclass(frozen=True)
 class Count(_LeafAggregate):
     """Counts non-null cells; the only aggregate defined on text columns."""
 
-    kind: ClassVar[str] = "count"
+    tag = "count"
 
 
 @dataclass(frozen=True)
 class Mean(_LeafAggregate):
-    kind: ClassVar[str] = "mean"
+    tag = "mean"
 
 
 @dataclass(frozen=True)
 class Min(_LeafAggregate):
-    kind: ClassVar[str] = "min"
+    tag = "min"
 
 
 @dataclass(frozen=True)
 class Max(_LeafAggregate):
-    kind: ClassVar[str] = "max"
+    tag = "max"
 
 
 @dataclass(frozen=True)
 class Variance(_LeafAggregate):
     """Unbiased (n-1) sample variance; NaN when fewer than two values."""
 
-    kind: ClassVar[str] = "variance"
+    tag = "variance"
 
 
 @dataclass(frozen=True)
 class StdDev(_LeafAggregate):
-    kind: ClassVar[str] = "sd"
+    tag = "sd"
 
 
 @dataclass(frozen=True)
@@ -195,7 +254,9 @@ class Quantile(_LeafAggregate):
     """Quantile with linear interpolation between order statistics."""
 
     q: float = 0.5
-    kind: ClassVar[str] = "quantile"
+
+    tag = "quantile"
+    args = (("var", COLUMN), ("q", PROB))
 
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
@@ -204,20 +265,19 @@ class Quantile(_LeafAggregate):
     def default_names(self):
         return (f"quantile_{sanitize_name(self.var)}_{_number_token(self.q)}",)
 
-    def serialize(self):
-        return _with_names(self, f"quantile(var={self.var}, q={self.q!r})")
-
 
 _OP_TOKENS = {"add": "_add_", "sub": "_sub_", "mul": "_mul_", "div": "_div_", "pow": "_pow_"}
 
 
 @dataclass(frozen=True)
 class Composite(Metric):
-    """Pointwise arithmetic over two metrics; scalars broadcast."""
+    """Pointwise arithmetic over two metrics; scalars broadcast. Its tag is its op."""
 
     op: str = "add"
     left: Metric = None  # type: ignore[assignment]
     right: Metric = None  # type: ignore[assignment]
+
+    args = (("left", METRIC), ("right", METRIC))
 
     def __post_init__(self):
         if self.op not in _OP_TOKENS:
@@ -225,20 +285,12 @@ class Composite(Metric):
         if self.op == "pow" and not isinstance(self.right, ScalarLiteral):
             raise BindError("the exponent of ** must be a scalar literal")
 
+    @property
+    def tag(self):
+        return self.op
+
     def default_names(self):
         return (self.left.names()[0] + _OP_TOKENS[self.op] + self.right.names()[0],)
-
-    def extra_dims(self):
-        dims = list(self.left.extra_dims())
-        dims.extend(d for d in self.right.extra_dims() if d not in dims)
-        return tuple(dims)
-
-    def children(self):
-        return (self.left, self.right)
-
-    def serialize(self):
-        body = f"{self.op}(left={self.left.serialize()}, right={self.right.serialize()})"
-        return _with_names(self, body)
 
 
 @dataclass(frozen=True)
@@ -247,30 +299,17 @@ class Operation(Metric):
 
     Operations cannot stand alone: constructing one without a child makes a
     template that only becomes computable once a metric is piped into it with
-    ``metric | op``.
+    ``metric | op``. Each names its value ``prefix`` plus its child's name.
     """
 
     child: Metric | None = field(default=None, kw_only=True)
 
-    def _require_child(self) -> Metric:
-        if self.child is None:
-            raise BindError(f"{type(self).__name__} must modify another metric; pipe one in first")
-        return self.child
-
-    def name_prefix(self) -> str:
-        raise NotImplementedError
+    prefix: ClassVar[str] = ""
 
     def default_names(self):
-        return (self.name_prefix() + self._require_child().names()[0],)
-
-    def extra_dims(self):
-        return self._require_child().extra_dims()
-
-    def children(self):
-        return (self.child,) if self.child is not None else ()
-
-    def _child_serial(self) -> str:
-        return self._require_child().serialize()
+        if self.child is None:
+            _no_child(self)
+        return (self.prefix + self.child.names()[0],)
 
 
 @dataclass(frozen=True)
@@ -279,17 +318,9 @@ class Distribution(Operation):
 
     over: str = ""
 
-    def name_prefix(self):
-        return "distribution_of_"
-
-    def extra_dims(self):
-        return (self.over,) + self._require_child().extra_dims()
-
-    def reads(self):
-        return (self.over,)
-
-    def serialize(self):
-        return _with_names(self, f"distribution(over={self.over}, child={self._child_serial()})")
+    tag = "distribution"
+    args = (("over", DIM), ("child", METRIC))
+    prefix = "distribution_of_"
 
 
 @dataclass(frozen=True)
@@ -299,38 +330,23 @@ class _ChangeOperation(Operation):
     condition: str = ""
     baseline: Cell = None
 
-    def extra_dims(self):
-        return (self.condition,) + self._require_child().extra_dims()
-
-    def reads(self):
-        return (self.condition,)
-
-    def serialize(self):
-        return _with_names(
-            self,
-            f"{self._serial_tag}(condition={self.condition},"
-            f" baseline={serialize_cell(self.baseline)}, child={self._child_serial()})",
-        )
+    args = (("condition", DIM), ("baseline", CELL), ("child", METRIC))
 
 
 @dataclass(frozen=True)
 class PercentChange(_ChangeOperation):
     """(value / baseline value - 1) * 100 within each slice; baseline rows are 0."""
 
-    _serial_tag = "percent_change"
-
-    def name_prefix(self):
-        return "pct_change_of_"
+    tag = "percent_change"
+    prefix = "pct_change_of_"
 
 
 @dataclass(frozen=True)
 class AbsoluteChange(_ChangeOperation):
     """value - baseline value within each slice; baseline rows are 0."""
 
-    _serial_tag = "absolute_change"
-
-    def name_prefix(self):
-        return "abs_change_of_"
+    tag = "absolute_change"
+    prefix = "abs_change_of_"
 
 
 @dataclass(frozen=True)
@@ -340,18 +356,13 @@ class Bootstrap(Operation):
     n_rep: int = 100
     seed: int = 0
 
+    tag = "bootstrap"
+    args = (("n_rep", COUNT), ("seed", SEED), ("child", METRIC))
+    prefix = "se_"
+
     def __post_init__(self):
         if self.n_rep < 1:
             raise BindError(f"n_rep must be positive, got {self.n_rep}")
-
-    def name_prefix(self):
-        return "se_"
-
-    def serialize(self):
-        return _with_names(
-            self,
-            f"bootstrap(n_rep={self.n_rep}, seed={self.seed}, child={self._child_serial()})",
-        )
 
 
 @dataclass(frozen=True)
@@ -360,21 +371,9 @@ class Jackknife(Operation):
 
     unit: str = ""
 
-    def name_prefix(self):
-        return "se_"
-
-    def reads(self):
-        return (self.unit,)
-
-    def serialize(self):
-        return _with_names(self, f"jackknife(unit={self.unit}, child={self._child_serial()})")
-
-
-def _with_names(m: Metric, body: str) -> str:
-    if m.names_override is None:
-        return body
-    rendered = ",".join(repr(n) for n in m.names_override)
-    return f"named(names=[{rendered}], child={body})"
+    tag = "jackknife"
+    args = (("unit", COLUMN), ("child", METRIC))
+    prefix = "se_"
 
 
 def as_metric(value) -> Metric:
@@ -434,11 +433,10 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
 
     def visit(node: Metric, split: tuple[str, ...]):
         if isinstance(node, Operation) and node.child is None:
-            raise BindError(f"{type(node).__name__} must modify another metric; pipe one in first")
+            _no_child(node)
         for name in node.reads():
             read(name)
-        if isinstance(node, (Distribution, _ChangeOperation)):
-            dim = node.over if isinstance(node, Distribution) else node.condition
+        for dim in node.dims():
             if dim in split:
                 raise BindError(f"{type(node).__name__} over {dim!r}, which is already a key")
             split += (dim,)

@@ -137,13 +137,13 @@ def _leaf_sql(leaf: m._LeafAggregate, dialect: Dialect) -> str:
         "sum": "SUM", "count": "COUNT", "mean": "AVG", "min": "MIN", "max": "MAX",
         "variance": "VARIANCE", "sd": "STDDEV",
     }
-    if leaf.kind in simple:
-        return f"{simple[leaf.kind]}({var})"
-    if leaf.kind == "quantile":
+    if leaf.tag in simple:
+        return f"{simple[leaf.tag]}({var})"
+    if leaf.tag == "quantile":
         if dialect is Dialect.PORTABLE:
             raise UnsupportedInDialect("quantile aggregates are not available in the portable dialect")
         return f"PERCENTILE_CONT({var}, {leaf.q!r})"
-    raise UnsupportedInDialect(f"no SQL translation for aggregate {leaf.kind!r}")
+    raise UnsupportedInDialect(f"no SQL translation for aggregate {leaf.tag!r}")
 
 
 def sql_aggregate(metric: m.Metric, data: str, dims: list[str] | tuple[str, ...], dialect: Dialect) -> str:
@@ -166,7 +166,9 @@ def to_sql(
 
     The query's key columns are those of ``compute_on``: split_by followed by
     the operation-introduced dimensions, outermost first. Bootstrap adds a
-    temp-table statement to the preamble; Jackknife has no SQL form.
+    temp-table statement to the preamble; Jackknife has no SQL form. A table
+    named like a CTE that encloses its reads (``T``, or ``Base`` under a
+    change, in any case) raises ``UnsupportedInDialect``.
     """
     split_by = tuple(split_by)
     key_columns = m.bind(metric, split_by)
@@ -194,7 +196,16 @@ def _node_to_sql(metric: m.Metric, data: str, split_by: tuple[str, ...], dialect
     return sql_aggregate(metric, data, split_by, dialect), []
 
 
+def _check_source(data: str, *ctes: str):
+    """Raise if a CTE named in ``ctes`` would shadow the source table ``data``."""
+    if data.strip('"`').lower() in (cte.lower() for cte in ctes):
+        raise UnsupportedInDialect(
+            f"the table name {data!r} is a CTE of the generated SQL; rename the table"
+        )
+
+
 def _distribution_sql(node: m.Distribution, data, split_by, dialect):
+    _check_source(data, "T")
     child_text, preamble = _node_to_sql(node.child, data, split_by + (node.over,), dialect)
     dims = split_by + node.extra_dims()
     partition = [quote_ident(d, dialect) for d in dims if d != node.over]
@@ -207,6 +218,7 @@ def _distribution_sql(node: m.Distribution, data, split_by, dialect):
 
 
 def _change_sql(node: m._ChangeOperation, data, split_by, dialect):
+    _check_source(data, "T", "Base")
     child_text, preamble = _node_to_sql(node.child, data, split_by + (node.condition,), dialect)
     dims = split_by + node.extra_dims()
     join_dims = [d for d in dims if d != node.condition]

@@ -154,6 +154,15 @@ class TestSqlMode:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and repr(name) in err
 
+    @pytest.mark.parametrize("stem", ["t", "base"])
+    def test_input_named_like_a_cte_is_user_error(self, capsys, tmp_path, stem):
+        path = tmp_path / f"{stem}.csv"
+        path.write_bytes(b"g,x\na,1\nb,2\n")
+        code, out, err = run_cli(capsys, "--input", str(path), "--mode", "sql",
+                                 "--metric", 'sum(x) | percent_change(g, "a")')
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and repr(stem) in err and err.count("\n") == 1
+
     def test_multiple_metrics_emit_multiple_queries(self, capsys):
         code, out, _ = run_cli(
             capsys, "--metric", "sum(a); count(b)", "--mode", "sql"

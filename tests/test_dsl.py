@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,7 @@ from slicemetrics import (
     print_metric,
     print_program,
 )
-from slicemetrics.dsl import set_n_rep
+from slicemetrics.dsl import _BUILDERS, set_n_rep
 
 from helpers import random_pipeline as _random_pipeline
 
@@ -127,6 +129,30 @@ class TestParseErrors:
         with pytest.raises(DslError, match="exponent"):
             parse("sum(x) ** count(y)")
 
+    @pytest.mark.parametrize("src, fragment, position", [
+        ("sum(x) | jackknife(2)", "jackknife needs a column name at argument 1", (1, 10)),
+        ("count(p) | distribution(3)", "distribution needs a column name at argument 1",
+         (1, 12)),
+        ("sum(x) | percent_change(arm, control)",
+         "baseline must be a quoted string or a number", (1, 30)),
+        ('quantile(x, "half")', "quantile needs a numeric q in [0, 1]", (1, 13)),
+        ("sum(x);\nquantile(x, 1.5)", "quantile q must be in [0, 1], got 1.5", (2, 13)),
+        ("mean(x) | bootstrap(0)", "bootstrap replicate count must be positive, got 0",
+         (1, 21)),
+        ("sum(x, y)", "sum takes 1 argument(s), got 2", (1, 1)),
+        ("mean(x) | bootstrap(10, 2)", "bootstrap takes 0 to 1 argument(s), got 2", (1, 11)),
+        ("sum(x) | absolute_change(arm)", "absolute_change takes 2 argument(s), got 1",
+         (1, 10)),
+        ("quantile(x)", "quantile takes 2 argument(s), got 1", (1, 1)),
+    ], ids=["number_as_column", "number_as_dim", "bare_name_baseline", "text_q",
+            "q_out_of_range", "zero_replicates", "too_many", "too_many_optional",
+            "too_few", "too_few_leaf"])
+    def test_argument_role_errors(self, src, fragment, position):
+        with pytest.raises(DslError, match=re.escape(fragment)) as err:
+            parse(src)
+        assert (err.value.line, err.value.col) == position
+        assert str(err.value).startswith(f"{position[0]}:{position[1]}: ")
+
     @pytest.mark.parametrize("count", ["2.7", "1e2", "1e999403", "9" * 5000],
                              ids=["fraction", "exponent", "overflow", "5000_digits"])
     def test_replicate_count_is_an_integer_literal(self, count):
@@ -158,6 +184,41 @@ class TestPrint:
         second = parse(text)
         assert second.metrics == first.metrics
         assert print_program(second) == text
+
+    # One example per DSL call, with the serialization it had before the
+    # node kinds were declared by their argument roles.
+    NODE_EXAMPLES = {
+        "sum": ("sum(x)", "sum(var=x)"),
+        "count": ("count(x)", "count(var=x)"),
+        "mean": ("mean(x)", "mean(var=x)"),
+        "min": ("min(x)", "min(var=x)"),
+        "max": ("max(x)", "max(var=x)"),
+        "variance": ("variance(x)", "variance(var=x)"),
+        "sd": ("sd(x)", "sd(var=x)"),
+        "quantile": ('quantile(x, 0.9) as "p90"',
+                     "named(names=['p90'], child=quantile(var=x, q=0.9))"),
+        "distribution": ("count(p) | distribution(p)",
+                         "distribution(over=p, child=count(var=p))"),
+        "percent_change": ('sum(x) | percent_change(arm, "control")',
+                           "percent_change(condition=arm, baseline=text:'control',"
+                           " child=sum(var=x))"),
+        "absolute_change": ("mean(x) | absolute_change(year, 2020)",
+                            "absolute_change(condition=year, baseline=int:2020,"
+                            " child=mean(var=x))"),
+        "bootstrap": ("mean(x) | bootstrap(25)",
+                      "bootstrap(n_rep=25, seed=7, child=mean(var=x))"),
+        "jackknife": ("mean(x) | jackknife(u)", "jackknife(unit=u, child=mean(var=x))"),
+    }
+
+    @pytest.mark.parametrize("tag", sorted(_BUILDERS))
+    def test_every_node_kind_round_trips(self, tag):
+        src, serial = self.NODE_EXAMPLES[tag]
+        metric = parse(src, seed=7).metrics[0]
+        assert type(metric) is _BUILDERS[tag]
+        assert metric.serialize() == serial
+        text = print_metric(metric)
+        assert text == src
+        assert parse(text, seed=7).metrics[0] == metric
 
     def test_subtraction_keeps_grouping(self):
         metric = parse("sum(a) - (count(b) - count(c))").metrics[0]
@@ -204,3 +265,17 @@ class TestDslFixturesExecuteAsPortableSql:
             query = to_sql(metric, "fig2", split, Dialect.PORTABLE)
             rows = execute_query(query, {"fig2": fig2})
             assert rows, query.render()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_dsl_programs_parse():
+    """Every DSL program the README shows parses: ```dsl blocks and --metric '...' flags."""
+    text = README.read_text(encoding="utf-8")
+    programs = re.findall(r"^```dsl\n(.*?)^```", text, flags=re.S | re.M)
+    programs += re.findall(r"--metric '([^']*)'", text)
+    assert len(programs) >= 2
+    for src in programs:
+        program = parse(src)
+        assert parse(print_program(program)).metrics == program.metrics, src

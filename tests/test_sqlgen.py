@@ -189,6 +189,30 @@ class TestToSql:
         with pytest.raises(NestedBootstrap):
             to_sql(inner | Bootstrap(5), "d", (), PORTABLE)
 
+    @pytest.mark.parametrize("metric, source", [
+        (Sum("x") | Distribution("g"), "t"),
+        (Sum("x") | Distribution("g"), "T"),
+        (Sum("x") | Distribution("g"), '"t"'),
+        (Sum("x") | PercentChange("g", "a"), "t"),
+        (Sum("x") | PercentChange("g", "a"), "base"),
+        (Sum("x") | Distribution("h") | AbsoluteChange("g", "a"), "BASE"),
+    ])
+    def test_source_named_like_a_cte_is_rejected(self, metric, source):
+        # sqlite reads such a name as the CTE: "circular reference: T".
+        for dialect in (PORTABLE, GOOGLE):
+            with pytest.raises(UnsupportedInDialect, match=repr(source)):
+                to_sql(metric, source, (), dialect)
+
+    @pytest.mark.parametrize("metric, source", [
+        (Sum("x"), "t"),
+        (Sum("x") | Distribution("g"), "base"),
+        (Mean("x") | Bootstrap(3), "samples"),
+        (Sum("x") | PercentChange("g", "a") | Bootstrap(3), "t"),
+    ])
+    def test_source_named_like_a_cte_it_is_not_read_in_runs(self, metric, source):
+        t = Table.from_dict({"g": ["a", "a", "b"], "h": [1, 2, 1], "x": [1, 2, 4]})
+        assert execute_query(to_sql(metric, source), {source: t})
+
 
 class TestGoldenSnapshots:
     def test_percent_change_fragments(self):
@@ -448,6 +472,16 @@ class TestBackendEquivalenceSpot:
     def test_change_without_any_baseline_keeps_its_rows(self):
         t = Table.from_dict({"arm": ["t", "t"], "x": [1, 2]})
         assert_backend_equal(Sum("x") | PercentChange("arm", "c"), t, ())
+
+    def test_distribution_leaves_nan_rows_out_of_the_total(self):
+        # 0/0 is NaN (NULL in SQL); like SQL's window SUM, the total skips it.
+        t = Table.from_dict({"r": ["e", "e", "e", "w"], "g": ["a", "b", "c", "a"],
+                             "x": [0, 1, 3, 0]})
+        metric = (Sum("x") / Sum("x")) | Distribution("g")
+        frame = dict(compute_on(metric, t, ("r",)).rows)
+        assert frame[("e", "b")] == (0.5,) and math.isnan(frame[("e", "a")][0])
+        assert math.isnan(frame[("w", "a")][0])
+        assert_backend_equal(metric, t, ("r",))
 
     def test_random_tables_random_metrics(self):
         rng = random.Random(51)
