@@ -11,7 +11,7 @@ from . import metrics as m
 from .compute import EvalContext, compute_on
 from .errors import MetricsError
 from .sqlgen import Dialect, to_sql
-from .table import Table, read_csv
+from .table import read_csv, read_header
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -74,10 +74,15 @@ def _run(args) -> int:
         metrics = [dsl.set_n_rep(metric, args.n_rep) for metric in metrics]
     split_by = tuple(part for part in args.split_by.split(",") if part)
 
-    table, table_name = _load_input(args, set(split_by).union(*map(m.columns_read, metrics)))
-    if table is not None:
+    columns = set(split_by).union(*map(m.columns_read, metrics))
+    if args.mode == "sql":  # SQL needs only the header's names
+        names, table_name = _load_input(args, read_header)
+    else:
+        table, table_name = _load_input(args, lambda source: read_csv(source, columns))
+        names = None if table is None else table.column_names
+    if names is not None:
         for metric in metrics:
-            m.bind(metric, split_by, table.column_names)
+            m.bind(metric, split_by, names)
 
     if args.mode == "sql":
         texts = []
@@ -101,23 +106,24 @@ def _run(args) -> int:
     return 0
 
 
-def _load_input(args, columns: set[str]) -> tuple[Table | None, str]:
-    """The ``--input`` table and the name SQL mode gives it.
+def _load_input(args, read):
+    """``read`` applied to the ``--input`` CSV, and the name SQL mode gives it.
 
-    Only ``columns``, the program's read set, are parsed; ``read_csv`` still
-    checks the whole header and every row's width.
+    Compute mode reads only the program's read set with ``read_csv``, and SQL
+    mode only the header with ``read_header``; both check the whole header and
+    every row's width.
     """
     if args.input is None:
         return None, "data"
     if args.input == "-":
-        return read_csv(sys.stdin.buffer.read(), columns), "data"
+        return read(sys.stdin.buffer.read()), "data"
     with open(args.input, "rb") as handle:
-        table = read_csv(handle, columns)
+        loaded = read(handle)
     stem = re.sub(r"\.[^.]*$", "", args.input.replace("\\", "/").rsplit("/", 1)[-1])
     name = re.sub(r"[^A-Za-z0-9_]", "_", stem) or "data"
     if name[0].isdigit():
         name = "_" + name
-    return table, name
+    return loaded, name
 
 
 if __name__ == "__main__":

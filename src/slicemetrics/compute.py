@@ -1,10 +1,13 @@
 """In-memory evaluation of metric trees via split-apply-combine.
 
-Leaf aggregates group the table by the requested dimensions and reduce each
-slice. Operations run in three phases: preprocess the data, compute the child
-(usually at a finer granularity), then post-process the child frame. Shared
-subtrees are evaluated once per (metric, data, split) thanks to a content
-addressed cache on the evaluation context.
+Leaf aggregates group the table by the requested dimensions, using the
+table's cached integer codes, and reduce each slice of the column's cached
+float64 values. Operations run in three phases: preprocess the data, compute
+the child (usually at a finer granularity), then post-process the child
+frame. Bootstrap and jackknife replicates are tables taken from the input
+after its caches are filled, so they gather codes and values instead of
+converting cells again. Shared subtrees are evaluated once per (metric, data,
+split) thanks to a content addressed cache on the evaluation context.
 
 Every metric has one value per slice. Arithmetic on result frames follows the
 pointwise rule: frames are joined on their common key columns, the two sides'
@@ -107,8 +110,12 @@ def _compute(metric: m.Metric, table: Table, split_by, ctx: EvalContext) -> Resu
         return ResultFrame(split_by, metric.names(), rows)
     if isinstance(metric, m._LeafAggregate):
         groups = group_rows(table, split_by)
-        cells = table.column(metric.var).values
-        rows = tuple((key, (eval_leaf(metric, [cells[i] for i in indices]),))
+        numbers, null, text = table.floats(metric.var)
+        if text is not None and metric.tag != "count":
+            _text_cell_error(metric, table, groups, text)
+        if null is not None:
+            groups = {key: indices[~null[indices]] for key, indices in groups.items()}
+        rows = tuple((key, (eval_leaf(metric, numbers[indices]),))
                      for key, indices in groups.items())
         return ResultFrame(split_by, metric.names(), rows)
     if isinstance(metric, m.Composite):
@@ -132,36 +139,42 @@ def _composite_side(side: m.Metric, table, split_by, ctx):
 # -- leaf aggregates ---------------------------------------------------------
 
 
-def eval_leaf(leaf: m._LeafAggregate, values: list) -> float:
-    """Reduce one slice's cells of the leaf's column to a float, skipping nulls."""
-    if leaf.tag == "count":
-        return float(sum(1 for v in values if v is not None))
-    numeric: list[float] = []
-    for v in values:
-        if v is None:
-            continue
-        if isinstance(v, str):
-            raise TypeMismatch(
-                f"cannot aggregate text cell {v!r} in column {leaf.var!r} with {leaf.tag}"
-            )
-        numeric.append(float(v))
-    n = len(numeric)
+def eval_leaf(leaf: m._LeafAggregate, values) -> float:
+    """Reduce one slice's non-null values of the leaf's column to a float.
+
+    ``values`` is a float64 array, or any sequence of numbers.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
     kind = leaf.tag
+    if kind == "count":
+        return float(n)
     if kind == "sum":
-        return math.fsum(numeric)
+        return math.fsum(values.tolist())
     if kind == "mean":
-        return math.fsum(numeric) / n if n else NAN
+        return math.fsum(values.tolist()) / n if n else NAN
     if kind == "min":
-        return min(numeric) if n else NAN
+        return min(values.tolist()) if n else NAN  # Python's min: a leading NaN wins
     if kind == "max":
-        return max(numeric) if n else NAN
+        return max(values.tolist()) if n else NAN
     if kind == "variance":
-        return _quiet(np.var, numeric, ddof=1) if n >= 2 else NAN
+        return _quiet(np.var, values, ddof=1) if n >= 2 else NAN
     if kind == "sd":
-        return _quiet(np.std, numeric, ddof=1) if n >= 2 else NAN
+        return _quiet(np.std, values, ddof=1) if n >= 2 else NAN
     if kind == "quantile":
-        return _quiet(np.quantile, numeric, leaf.q) if n else NAN
+        return _quiet(np.quantile, values, leaf.q) if n else NAN
     raise TypeError(f"unknown leaf aggregate: {kind!r}")
+
+
+def _text_cell_error(leaf: m._LeafAggregate, table: Table, groups, text: np.ndarray):
+    """Raise for the first text cell met in slice order; only Count reads text."""
+    for indices in groups.values():
+        hits = indices[text[indices]]
+        if len(hits):
+            cell = table.column(leaf.var).values[hits[0]]
+            raise TypeMismatch(
+                f"cannot aggregate text cell {cell!r} in column {leaf.var!r} with {leaf.tag}"
+            )
 
 
 # -- pointwise arithmetic ----------------------------------------------------
@@ -314,6 +327,7 @@ def _eval_change(node, table, split_by, ctx):
 def _eval_bootstrap(node, table, split_by, ctx):
     if table.row_count == 0:
         raise EmptyInput("bootstrap requires at least one row")
+    _fill_caches(table, node.child, split_by)
     replicates = (
         resample_with_replacement(table, _replicate_rng(node.seed, i)) for i in range(node.n_rep)
     )
@@ -331,12 +345,26 @@ def _replicate_rng(seed: int, i: int) -> random.Random:
 
 
 def _eval_jackknife(node, table, split_by, ctx):
-    unit_values = table.column(node.unit).values
-    replicates = (
-        table.take([i for i, v in enumerate(unit_values) if v != unit])
-        for unit in dict.fromkeys(unit_values)
-    )
+    _fill_caches(table, node.child, split_by)
+
+    def leave_out(unit, indices):
+        keep = np.ones(table.row_count, dtype=bool)
+        if unit == unit:  # a NaN unit equals no cell, so it leaves out no row
+            keep[indices] = False
+        return table.take(np.flatnonzero(keep))
+
+    replicates = (leave_out(unit, indices)
+                  for (unit,), indices in group_rows(table, (node.unit,)).items())
     return _replicate_se(node, replicates, _jackknife_se, split_by, ctx)
+
+
+def _fill_caches(table: Table, child: m.Metric, split_by):
+    """Convert the columns a replicate of ``table`` reads, so ``take`` gathers them."""
+    for name in split_by + child.extra_dims():
+        table.codes(name)
+    for node in m.walk(child):
+        if isinstance(node, m._LeafAggregate):
+            table.floats(node.var)
 
 
 def _replicate_se(node, tables, se, split_by, ctx: EvalContext) -> ResultFrame:

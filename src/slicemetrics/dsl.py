@@ -6,16 +6,19 @@ Grammar (pipe binds loosest, then + -, then * /, then **)::
     pipeline = expr rename? ("|" call rename?)*
     expr     = term (("+" | "-") term)*
     term     = factor (("*" | "/") factor)*
-    factor   = atom ("**" number)?
-    atom     = number | call | "(" pipeline ")"
+    factor   = atom ("**" signed)?
+    atom     = signed | call | "(" pipeline ")"
     call     = name "(" [arg ("," arg)*] ")"
-    arg      = name | number | string
+    arg      = name | signed | string
+    signed   = ["-"] number
     rename   = "as" string
 
 Column names are bare identifiers; string literals are reserved for baseline
 values and renames, so ``percent_change(experiment, "control")`` reads the
 experiment column and compares against the value "control". Operation calls
-cannot stand alone: they must have a metric piped into them.
+cannot stand alone: they must have a metric piped into them. A leading ``-``
+belongs to the number literal it precedes, so ``-1.0 ** 2`` is 1.0 and
+``sum(x) - -1`` subtracts negative one.
 
 ``parse -> print_program -> parse`` is a fixed point for every valid program.
 """
@@ -113,6 +116,16 @@ class _Parser:
     def at_op(self, *texts: str) -> bool:
         return self.tok.kind == "op" and self.tok.text in texts
 
+    def signed_number(self) -> Token | None:
+        """Consume a number, folding a leading '-' into its text; None if none is next."""
+        if self.tok.kind == "number":
+            return self.advance()
+        if self.at_op("-") and self.tokens[self.pos + 1].kind == "number":
+            minus = self.advance()
+            return Token("number", "-" + self.advance().text, minus.line, minus.col,
+                         minus.offset)
+        return None
+
     # -- grammar --------------------------------------------------------------
 
     def parse_program(self) -> DslProgram:
@@ -180,16 +193,17 @@ class _Parser:
         atom = self.parse_atom()
         if self.at_op("**"):
             self.advance()
-            if self.tok.kind != "number":
+            exponent = self.signed_number()
+            if exponent is None:
                 self.fail("the exponent of ** must be a number", expected=("number",))
-            return m.combine("pow", atom, _number(self.advance().text))
+            return m.combine("pow", atom, _number(exponent.text))
         return atom
 
     def parse_atom(self) -> m.Metric:
         tok = self.tok
-        if tok.kind == "number":
-            self.advance()
-            return m.ScalarLiteral(_number(tok.text))
+        number = self.signed_number()
+        if number is not None:
+            return m.ScalarLiteral(_number(number.text))
         if tok.kind == "name":
             node = self.parse_call()
             if isinstance(node, m.Operation):
@@ -219,9 +233,12 @@ class _Parser:
         args: list[Token] = []
         if not self.at_op(")"):
             while True:
-                if self.tok.kind not in ("name", "number", "string"):
+                arg = self.signed_number()
+                if arg is None and self.tok.kind in ("name", "string"):
+                    arg = self.advance()
+                if arg is None:
                     self.fail("bad argument", expected=("column name", "number", "string"))
-                args.append(self.advance())
+                args.append(arg)
                 if self.at_op(","):
                     self.advance()
                     continue
@@ -265,7 +282,7 @@ def _baseline_cell(call: Token, i: int, field: str, tok: Token):
     if tok.kind == "string":
         return _unquote(tok.text)
     if tok.kind == "number":
-        if not tok.text.isdecimal():
+        if not tok.text.removeprefix("-").isdecimal():
             return _number(tok.text)
         try:
             return int(tok.text)  # exact: a float would round past 2**53
@@ -284,7 +301,7 @@ def _probability(call: Token, i: int, field: str, tok: Token) -> float:
 
 
 def _replicate_count(call: Token, i: int, field: str, tok: Token) -> int:
-    if tok.kind != "number" or not tok.text.isdecimal():
+    if tok.kind != "number" or not tok.text.removeprefix("-").isdecimal():
         _arg_error(tok, f"{call.text} replicate count must be an integer literal")
     try:
         n = int(tok.text)

@@ -2,6 +2,12 @@
 
 Cells are plain Python values: int, float, str, or None (a null). Tables are
 immutable after construction and safe to share across threads.
+
+Each column is converted at most once per table, on first use: to integer
+codes (``Table.codes``), which make grouping integer arithmetic, and to
+float64 values with null and text masks (``Table.floats``), which leaf
+aggregates reduce. A table made by ``take`` gathers its source's filled
+caches instead of converting again.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ import random
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import EmptyInput, ParseError, SchemaError, UnknownColumn
 
@@ -62,6 +71,8 @@ class Table:
         self._columns = columns
         self._index = {col.name: i for i, col in enumerate(columns)}
         self._fingerprint: str | None = None
+        self._codes: dict[str, tuple[np.ndarray, int]] = {}
+        self._floats: dict[str, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]] = {}
 
     @classmethod
     def from_dict(cls, data: dict[str, list[Cell] | tuple[Cell, ...]]) -> "Table":
@@ -92,11 +103,52 @@ class Table:
         for i in range(self._row_count):
             yield self.row(i)
 
-    def take(self, indices: list[int] | tuple[int, ...]) -> "Table":
-        """New table containing the given rows, in the given order."""
-        return Table(
-            [Column(col.name, tuple(col.values[i] for i in indices)) for col in self._columns]
-        )
+    def take(self, indices) -> "Table":
+        """New table containing the given rows, in the given order.
+
+        The new table's caches are this table's filled caches, gathered.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        rows = idx.tolist()
+        table = Table([Column(col.name, _gather(col.values, rows)) for col in self._columns])
+        table._codes = {name: (codes[idx], n) for name, (codes, n) in self._codes.items()}
+        table._floats = {name: tuple(None if a is None else a[idx] for a in arrays)
+                         for name, arrays in self._floats.items()}
+        return table
+
+    def codes(self, name: str) -> tuple[np.ndarray, int]:
+        """The column's integer codes and their bound: equal cells share a code.
+
+        A table numbers its distinct cells 0, 1, ... in first-appearance order;
+        a table from ``take`` keeps its source's numbers, so some may be unused.
+        Cells are equal as dict keys are: 1 and 1.0 share a code, and a NaN
+        cell shares one only with itself.
+        """
+        hit = self._codes.get(name)
+        if hit is None:
+            hit = self._codes[name] = _factorize(self.column(name).values)
+        return hit
+
+    def floats(self, name: str) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """The column as float64 values, a null mask and a text mask.
+
+        A mask is None when the column has no such cell. Null and text cells
+        read as NaN in the values; a NaN cell is neither null nor text.
+        """
+        hit = self._floats.get(name)
+        if hit is None:
+            cells = values = self.column(name).values
+            text = None
+            if any(issubclass(kind, str) for kind in set(map(type, cells))):
+                text = np.fromiter((isinstance(v, str) for v in cells), dtype=bool,
+                                   count=len(cells))
+                values = tuple(None if isinstance(v, str) else v for v in cells)
+            numbers = np.array(values, dtype=np.float64)  # None reads as NaN
+            null = np.isnan(numbers)
+            nan_at = np.flatnonzero(null)
+            null[nan_at] = [cells[i] is None for i in nan_at.tolist()]
+            hit = self._floats[name] = (numbers, null if null.any() else None, text)
+        return hit
 
     def fingerprint(self) -> str:
         """128-bit content hash used as a cache key component."""
@@ -112,6 +164,19 @@ class Table:
 
     def __repr__(self):
         return f"Table({self.row_count} rows, columns={list(self.column_names)})"
+
+
+def _factorize(values) -> tuple[np.ndarray, int]:
+    """Codes numbering the distinct values in first-appearance order, and their count."""
+    index = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
+    return codes, len(index)
+
+
+def _gather(values: tuple, rows: list[int]) -> tuple:
+    if len(rows) > 1:
+        return itemgetter(*rows)(values)
+    return tuple(values[i] for i in rows)
 
 
 def _cell_token(v: Cell) -> str:
@@ -134,6 +199,28 @@ def read_csv(source: bytes | io.BufferedIOBase, columns: Iterable[str] | None = 
     offending 1-based data row number) for a ragged row, then SchemaError for
     a duplicate or empty header name.
     """
+
+    def pick(header: list[str]):
+        keep = range(len(header))
+        if columns is None:
+            return keep
+        wanted = set(columns)
+        return [i for i in keep if header[i] in wanted] or keep[:1]
+
+    header, parsed = _read(source, pick)
+    return Table([Column(header[i], tuple(col)) for col, i in parsed])
+
+
+def read_header(source: bytes | io.BufferedIOBase) -> tuple[str, ...]:
+    """The header of UTF-8 CSV, without parsing a cell.
+
+    The header and every row's width are checked as ``read_csv`` checks them.
+    """
+    return tuple(_read(source, lambda header: ())[0])
+
+
+def _read(source, pick) -> tuple[list[str], list[tuple[list[Cell], int]]]:
+    """The header, and the parsed cells of the header positions ``pick(header)`` names."""
     if isinstance(source, bytes):
         raw = source
     else:
@@ -144,12 +231,7 @@ def read_csv(source: bytes | io.BufferedIOBase, columns: Iterable[str] | None = 
         header = next(reader)
     except StopIteration:
         raise SchemaError("CSV input is empty; a header row is required") from None
-    keep = range(len(header))
-    if columns is not None:
-        wanted = set(columns)
-        keep = [i for i in keep if header[i] in wanted] or keep[:1]
-    cells: list[list[Cell]] = [[] for _ in keep]
-    parsed = list(zip(cells, keep))
+    parsed = [([], i) for i in pick(header)]
     for rownum, row in enumerate(reader, start=1):
         if len(row) != len(header):
             raise ParseError(
@@ -158,7 +240,7 @@ def read_csv(source: bytes | io.BufferedIOBase, columns: Iterable[str] | None = 
         for col, i in parsed:
             col.append(parse_cell(row[i]))
     _check_names(header)
-    return Table([Column(header[i], tuple(col)) for col, i in parsed])
+    return header, parsed
 
 
 def _check_names(names) -> None:
@@ -189,20 +271,40 @@ def format_cell(v: Cell) -> str:
     return str(v)
 
 
-def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[tuple, list[int]]:
+def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[tuple, np.ndarray]:
     """Row indices of each slice, keyed by tuples of dimension values.
 
-    A key's cells follow ``split_by``; nulls group like ordinary values.
-    Groups appear in first-appearance order and indices ascend within each
-    group. An empty split produces a single group of every row under the
-    empty key.
+    A key's cells follow ``split_by`` and are those of the slice's first row;
+    nulls group like ordinary values. Groups appear in first-appearance order
+    and indices ascend within each group. An empty split produces a single
+    group of every row under the empty key.
+
+    Each row's group id is a mixed-radix number over the split columns' codes,
+    made dense again whenever the id space outgrows the row count.
     """
+    n = table.row_count
     if not split_by:
-        return {(): list(range(table.row_count))}
-    groups: dict[tuple, list[int]] = {}
-    for i, key in enumerate(zip(*(table.column(name).values for name in split_by))):
-        groups.setdefault(key, []).append(i)
-    return groups
+        return {(): np.arange(n)}
+    ids, size = table.codes(split_by[0])
+    for name in split_by[1:]:
+        codes, card = table.codes(name)
+        ids, size = ids * card + codes, size * card
+        if size > n:  # keep the id space, and so the arrays below, within O(n)
+            ids, size = _factorize(ids.tolist())
+    first = np.full(size, n, dtype=np.intp)
+    first[ids[::-1]] = np.arange(n - 1, -1, -1)  # the last write, the first row, wins
+    slices = np.flatnonzero(first < n)
+    slices = slices[np.argsort(first[slices])]
+    rank = np.empty(size, dtype=np.intp)
+    rank[slices] = np.arange(len(slices))
+    of_row = rank[ids]
+    # A stable sort of uint16 keys is a radix sort.
+    order = np.argsort(of_row.astype(np.uint16) if len(slices) < 1 << 16 else of_row,
+                       kind="stable")
+    bounds = np.cumsum(np.bincount(of_row, minlength=len(slices)))[:-1]
+    columns = [table.column(name).values for name in split_by]
+    keys = [tuple(col[i] for col in columns) for i in first[slices].tolist()]
+    return dict(zip(keys, np.split(order, bounds)))
 
 
 def resample_with_replacement(table: Table, rng: random.Random) -> Table:

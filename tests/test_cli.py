@@ -411,6 +411,18 @@ def test_unread_columns_are_still_checked(capsys, tmp_path, mode, data, split_by
     assert got == (1, "", f"error: {message}\n")
 
 
+def test_sql_mode_parses_no_cell(capsys, tmp_path, monkeypatch):
+    def no_parse(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr("slicemetrics.table.parse_cell", no_parse)
+    path = tmp_path / "edge.csv"
+    path.write_bytes(b"alpha,note\n1,a\n")
+    code, out, err = run_cli(capsys, "--metric", "sum(alpha)", "--input", str(path),
+                             "--mode", "sql", "--split-by", "note")
+    assert (code, err) == (0, "") and "FROM edge" in out
+
+
 def test_text_in_a_read_column_is_still_a_type_mismatch(capsys, tmp_path):
     path = tmp_path / "edge.csv"
     path.write_bytes(b"alpha,note\n1,a\noops,b\n")

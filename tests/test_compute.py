@@ -16,6 +16,7 @@ from slicemetrics import (
     Jackknife,
     Max,
     Mean,
+    MetricsError,
     Min,
     PercentChange,
     Quantile,
@@ -428,6 +429,42 @@ class TestCache:
         a = compute_on(Mean("v") | Bootstrap(20, seed=1), mixed, (), ctx).single_value()
         b = compute_on(Mean("v") | Bootstrap(20, seed=2), mixed, (), ctx).single_value()
         assert abs(a - b) / max(abs(a), abs(b)) > 1e-6
+
+
+class TestColumnCaches:
+    TREES = [
+        Mean("x") | Bootstrap(5, seed=3),
+        (Sum("x") / Count("y")) | PercentChange("arm", "control") | Bootstrap(4, seed=1),
+        Mean("y") | Jackknife("g2"),
+        (Sum("y") | Distribution("arm")) | Jackknife("g1"),
+        Max("x") - Min("y"),
+        Count("g1") + Quantile("x", 0.5),
+    ]
+
+    def test_replicates_match_fresh_tables(self):
+        # take gathers the source's filled caches; a table built from the same
+        # cells converts its columns afresh. Both must compute the same frames.
+        rng = random.Random(71)
+        for _ in range(30):
+            t = random_table(rng, null_rate=0.15)
+            split = rng.choice([(), ("g1",), ("g1", "g2")])
+            for metric in self.TREES:
+                _outcome(metric, t, split)
+            rows = [rng.randrange(t.row_count) for _ in range(t.row_count)]
+            replicate = t.take(rows)
+            for part in (replicate, replicate.take(rows[::-1])):
+                fresh = Table.from_dict({col.name: col.values for col in part.columns})
+                for metric in self.TREES:
+                    assert _outcome(metric, part, split) == _outcome(metric, fresh, split)
+
+
+def _outcome(metric, table, split):
+    ctx = EvalContext()
+    try:
+        frame = compute_on(metric, table, split, ctx)
+    except MetricsError as err:
+        return f"{type(err).__name__}: {err}"
+    return repr(frame), [(w.kind, w.message) for w in ctx.warnings]
 
 
 class TestSplitting:

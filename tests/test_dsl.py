@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 from pathlib import Path
@@ -17,6 +18,7 @@ from slicemetrics import (
     Mean,
     PercentChange,
     Quantile,
+    ScalarLiteral,
     Sum,
     parse,
     print_metric,
@@ -80,6 +82,31 @@ class TestParse:
         metric = parse('sum(x) | absolute_change(year, 2020)').metrics[0]
         assert metric.baseline == 2020 and isinstance(metric.baseline, int)
 
+    def test_printed_negative_scalar_parses(self):
+        metric = Sum("x") * -1.0
+        text = print_metric(metric)
+        assert text == "sum(x) * -1.0"
+        assert parse(text).metrics[0] == metric
+
+    def test_negative_baseline_argument(self):
+        metric = parse("sum(x) | percent_change(a, -3)").metrics[0]
+        assert metric == PercentChange("a", -3, child=Sum("x"))
+        assert isinstance(metric.baseline, int)
+
+    @pytest.mark.parametrize("src, want", [
+        ("sum(x) - -2.5", Sum("x") - -2.5),
+        ("mean(x) ** -0.5", Mean("x") ** -0.5),
+        ("-1.0 ** 2", ScalarLiteral(-1.0) ** 2.0),
+        ("sum(x) | absolute_change(a, -2.5)", AbsoluteChange("a", -2.5, child=Sum("x"))),
+    ], ids=["subtract_negative", "negative_exponent", "negative_base", "float_baseline"])
+    def test_leading_minus_belongs_to_the_number(self, src, want):
+        assert parse(src).metrics[0] == want
+
+    def test_minus_before_a_call_is_not_a_number(self):
+        with pytest.raises(DslError) as err:
+            parse("sum(x) * -count(y)")
+        assert (err.value.line, err.value.col) == (1, 10)
+
     def test_spans_cover_each_metric(self):
         src = "sum(a); count(b)"
         program = parse(src)
@@ -139,13 +166,17 @@ class TestParseErrors:
         ("sum(x);\nquantile(x, 1.5)", "quantile q must be in [0, 1], got 1.5", (2, 13)),
         ("mean(x) | bootstrap(0)", "bootstrap replicate count must be positive, got 0",
          (1, 21)),
+        ("mean(x) | bootstrap(-3)", "bootstrap replicate count must be positive, got -3",
+         (1, 21)),
+        ("quantile(x, -0.5)", "quantile q must be in [0, 1], got -0.5", (1, 13)),
         ("sum(x, y)", "sum takes 1 argument(s), got 2", (1, 1)),
         ("mean(x) | bootstrap(10, 2)", "bootstrap takes 0 to 1 argument(s), got 2", (1, 11)),
         ("sum(x) | absolute_change(arm)", "absolute_change takes 2 argument(s), got 1",
          (1, 10)),
         ("quantile(x)", "quantile takes 2 argument(s), got 1", (1, 1)),
     ], ids=["number_as_column", "number_as_dim", "bare_name_baseline", "text_q",
-            "q_out_of_range", "zero_replicates", "too_many", "too_many_optional",
+            "q_out_of_range", "zero_replicates", "negative_replicates", "negative_q",
+            "too_many", "too_many_optional",
             "too_few", "too_few_leaf"])
     def test_argument_role_errors(self, src, fragment, position):
         with pytest.raises(DslError, match=re.escape(fragment)) as err:
@@ -176,6 +207,9 @@ class TestPrint:
             "sum(a); count(b) | jackknife(u)",
             '(sum(x) as "inner") + 1.0',
             'sum(x) | absolute_change(year, 2020)',
+            "sum(x) * -1.0 + -2.0",
+            "mean(x) ** -0.5",
+            'sum(x) | percent_change(arm, -3) | absolute_change(year, -2.5)',
         ],
     )
     def test_round_trip_fixpoint(self, src):
@@ -233,6 +267,24 @@ class TestPrint:
             reparsed = parse(text).metrics[0]
             assert reparsed == metric, text
             assert print_metric(reparsed) == text
+
+    def test_generated_programs_with_negative_literals_round_trip(self):
+        rng = random.Random(62)
+        for _ in range(60):
+            metric = _random_pipeline(rng).map(_negated)
+            text = print_metric(metric)
+            reparsed = parse(text).metrics[0]
+            assert reparsed == metric, text
+            assert print_metric(reparsed) == text
+
+
+def _negated(node):
+    """The node with its number literal or numeric baseline negated."""
+    if isinstance(node, ScalarLiteral):
+        return dataclasses.replace(node, value=-node.value)
+    if isinstance(getattr(node, "baseline", None), (int, float)):
+        return dataclasses.replace(node, baseline=-node.baseline)
+    return node
 
 
 class TestNRepOverride:

@@ -181,7 +181,7 @@ class TestGroupRows:
         t = Table.from_dict({"g": ["a", None, "a", None], "x": [1, 2, 3, 4]})
         groups = group_rows(t, ["g"])
         assert len(groups) == 2
-        assert groups[(None,)] == [1, 3]
+        assert groups[(None,)].tolist() == [1, 3]
 
     def test_partition_recovers_row_multiset(self):
         rng = random.Random(11)
@@ -193,6 +193,36 @@ class TestGroupRows:
                 combined.update(t.row(i) for i in indices)
             assert combined == Counter(t.rows())
 
+    def test_matches_dict_of_tuples_reference(self):
+        rng = random.Random(25)
+        pool = ["a", "b", 1, 1.0, 2, 2.5, -0.0, 0, None]
+        names = ["d0", "d1", "d2", "d3"]
+        for case in range(200):
+            n = 0 if case == 0 else rng.randint(1, 40)
+            t = Table.from_dict({name: [rng.choice(pool[:rng.randint(2, len(pool))])
+                                        for _ in range(n)] for name in names})
+            split = rng.sample(names, rng.randint(0, 3))
+            got = group_rows(t, split)
+            want = _reference_groups(t, split)
+            assert repr(list(got)) == repr(list(want)), (case, split)
+            assert [indices.tolist() for indices in got.values()] == list(want.values())
+
+    def test_many_slices_and_wide_id_space(self):
+        # 300 x 300 combinations exceed the 400 rows, so ids are re-compacted;
+        # over 65,535 slices the sort runs on full-width ids.
+        rng = random.Random(26)
+        t = Table.from_dict({"a": [rng.randrange(300) for _ in range(400)],
+                             "b": [rng.randrange(300) for _ in range(400)],
+                             "c": [rng.randrange(3) for _ in range(400)]})
+        for split in (["a", "b"], ["a", "b", "c"], ["c", "a"]):
+            got = group_rows(t, split)
+            want = _reference_groups(t, split)
+            assert list(got) == list(want)
+            assert [indices.tolist() for indices in got.values()] == list(want.values())
+        wide = Table.from_dict({"id": list(range(70_000))})
+        groups = group_rows(wide, ["id"])
+        assert len(groups) == 70_000 and groups[(69_999,)].tolist() == [69_999]
+
     def test_stability_within_groups(self):
         rng = random.Random(12)
         t = random_table(rng, n_rows=30)
@@ -203,6 +233,16 @@ class TestGroupRows:
                 for i in indices
             ]
             assert seen == sorted(seen)
+
+
+def _reference_groups(table, split):
+    """Row indices per key tuple, in first-appearance order, by a plain dict."""
+    if not split:
+        return {(): list(range(table.row_count))}
+    groups = {}
+    for i, key in enumerate(zip(*(table.column(name).values for name in split))):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 class TestCsvRoundTrip:
