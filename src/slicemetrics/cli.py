@@ -79,7 +79,7 @@ def _run(args) -> int:
         names, table_name = _load_input(args, read_header)
     else:
         table, table_name = _load_input(args, lambda source: read_csv(source, columns))
-        names = None if table is None else table.column_names
+        names = None if table is None else table.schema
     if names is not None:
         for metric in metrics:
             m.bind(metric, split_by, names)

@@ -1,12 +1,11 @@
 """In-memory evaluation of metric trees via split-apply-combine.
 
 Leaf aggregates group the table by the requested dimensions, using the
-table's cached integer codes, and reduce each slice of the column's cached
-float64 values. Operations run in three phases: preprocess the data, compute
-the child (usually at a finer granularity), then post-process the child
-frame. Bootstrap and jackknife replicates are tables taken from the input
-after its caches are filled, so they gather codes and values instead of
-converting cells again. Shared subtrees are evaluated once per (metric, data,
+columns' integer codes, and reduce each slice of the column's values array.
+Operations run in three phases: preprocess the data, compute the child
+(usually at a finer granularity), then post-process the child frame.
+Bootstrap and jackknife replicates are tables taken from the input, one array
+gather per column. Shared subtrees are evaluated once per (metric, data,
 split) thanks to a content addressed cache on the evaluation context.
 
 Every metric has one value per slice. Arithmetic on result frames follows the
@@ -24,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as m
-from .errors import BindError, EmptyInput, TypeMismatch
+from .errors import BindError, EmptyInput
 from .frames import ResultFrame
-from .table import Table, group_rows, resample_with_replacement
+from .table import Table, coerce_cell, group_rows, resample_with_replacement
 
 NAN = float("nan")
 
@@ -65,7 +64,7 @@ def compute_on(
     ctx = ctx or EvalContext()
     split_by = tuple(split_by)
     metrics = [metric] if isinstance(metric, m.Metric) else list(metric)
-    keys = {m.bind(one, split_by, table.column_names) for one in metrics}
+    keys = {m.bind(one, split_by, table.schema) for one in metrics}
     if len(keys) != 1:
         raise BindError(f"jointly computed metrics must share one key, got {sorted(keys)}")
     names = [name for one in metrics for name in one.names()]
@@ -110,12 +109,11 @@ def _compute(metric: m.Metric, table: Table, split_by, ctx: EvalContext) -> Resu
         return ResultFrame(split_by, metric.names(), rows)
     if isinstance(metric, m._LeafAggregate):
         groups = group_rows(table, split_by)
-        numbers, null, text = table.floats(metric.var)
-        if text is not None and metric.tag != "count":
-            _text_cell_error(metric, table, groups, text)
+        column = table.column(metric.var)  # bind let only Count read a text column
+        null = column.nulls()
         if null is not None:
             groups = {key: indices[~null[indices]] for key, indices in groups.items()}
-        rows = tuple((key, (eval_leaf(metric, numbers[indices]),))
+        rows = tuple((key, (eval_leaf(metric, column.data[indices]),))
                      for key, indices in groups.items())
         return ResultFrame(split_by, metric.names(), rows)
     if isinstance(metric, m.Composite):
@@ -142,7 +140,7 @@ def _composite_side(side: m.Metric, table, split_by, ctx):
 def eval_leaf(leaf: m._LeafAggregate, values) -> float:
     """Reduce one slice's non-null values of the leaf's column to a float.
 
-    ``values`` is a float64 array, or any sequence of numbers.
+    ``values`` is an array, or any sequence of numbers, read as float64.
     """
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
@@ -164,17 +162,6 @@ def eval_leaf(leaf: m._LeafAggregate, values) -> float:
     if kind == "quantile":
         return _quiet(np.quantile, values, leaf.q) if n else NAN
     raise TypeError(f"unknown leaf aggregate: {kind!r}")
-
-
-def _text_cell_error(leaf: m._LeafAggregate, table: Table, groups, text: np.ndarray):
-    """Raise for the first text cell met in slice order; only Count reads text."""
-    for indices in groups.values():
-        hits = indices[text[indices]]
-        if len(hits):
-            cell = table.column(leaf.var).values[hits[0]]
-            raise TypeMismatch(
-                f"cannot aggregate text cell {cell!r} in column {leaf.var!r} with {leaf.tag}"
-            )
 
 
 # -- pointwise arithmetic ----------------------------------------------------
@@ -299,16 +286,17 @@ def _eval_distribution(node, table, split_by, ctx):
 def _eval_change(node, table, split_by, ctx):
     child_frame = _cached_compute(node.child, table, split_by + (node.condition,), ctx)
     at = len(split_by)
+    baseline = coerce_cell(node.baseline, table.column(node.condition).kind)
     baselines = {
         key[:at] + key[at + 1:]: v
         for key, (v,) in child_frame.rows
-        if key[at] == node.baseline
+        if key[at] == baseline
     }
     percent = isinstance(node, m.PercentChange)
     rows = []
     for key, (v,) in child_frame.rows:
         base = baselines.get(key[:at] + key[at + 1:])
-        if key[at] == node.baseline:
+        if key[at] == baseline:
             change = 0.0
         elif base is None:
             ctx.warn(
@@ -327,7 +315,6 @@ def _eval_change(node, table, split_by, ctx):
 def _eval_bootstrap(node, table, split_by, ctx):
     if table.row_count == 0:
         raise EmptyInput("bootstrap requires at least one row")
-    _fill_caches(table, node.child, split_by)
     replicates = (
         resample_with_replacement(table, _replicate_rng(node.seed, i)) for i in range(node.n_rep)
     )
@@ -345,26 +332,13 @@ def _replicate_rng(seed: int, i: int) -> random.Random:
 
 
 def _eval_jackknife(node, table, split_by, ctx):
-    _fill_caches(table, node.child, split_by)
-
-    def leave_out(unit, indices):
+    def leave_out(indices):
         keep = np.ones(table.row_count, dtype=bool)
-        if unit == unit:  # a NaN unit equals no cell, so it leaves out no row
-            keep[indices] = False
+        keep[indices] = False
         return table.take(np.flatnonzero(keep))
 
-    replicates = (leave_out(unit, indices)
-                  for (unit,), indices in group_rows(table, (node.unit,)).items())
+    replicates = (leave_out(indices) for indices in group_rows(table, (node.unit,)).values())
     return _replicate_se(node, replicates, _jackknife_se, split_by, ctx)
-
-
-def _fill_caches(table: Table, child: m.Metric, split_by):
-    """Convert the columns a replicate of ``table`` reads, so ``take`` gathers them."""
-    for name in split_by + child.extra_dims():
-        table.codes(name)
-    for node in m.walk(child):
-        if isinstance(node, m._LeafAggregate):
-            table.floats(node.var)
 
 
 def _replicate_se(node, tables, se, split_by, ctx: EvalContext) -> ResultFrame:

@@ -87,13 +87,5 @@ def _format_value(v: float) -> str:
 
 
 def _order_token(values: tuple[Cell, ...]):
-    # Mixed-type keys sort by (type rank, value) to stay comparable.
-    out = []
-    for v in values:
-        if v is None:
-            out.append((0, ""))
-        elif isinstance(v, str):
-            out.append((2, v))
-        else:
-            out.append((1, v))
-    return out
+    # Nulls, then numbers, then text: a hand-built frame may mix types in a key column.
+    return [(0, "") if v is None else (2, v) if isinstance(v, str) else (1, v) for v in values]

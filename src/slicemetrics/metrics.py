@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .errors import BindError, NameArityError, UnknownColumn
-from .table import Cell
+from .errors import BindError, NameArityError, TypeMismatch, UnknownColumn
+from .table import TEXT, Cell
 
 
 def sanitize_name(text: str) -> str:
@@ -413,14 +414,17 @@ def columns_read(metric: Metric) -> set[str]:
 def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
     """Check a tree against its split and, when given, the input's columns.
 
+    ``columns`` is the input's column names, or its schema (``Table.schema``).
     Each child is checked at the split it is evaluated at, so a distribution
     or change adds its dimension. Raises ``UnknownColumn`` for a column missing
-    from ``columns``, and ``BindError`` for a repeated dimension, an operation
-    without a child, or a value name that is a key column in the output or in
-    an operation's child frame, where SQL selects both as columns of one
-    query.
+    from ``columns``, ``TypeMismatch`` for a numeric aggregate over a text
+    column of the schema, and ``BindError`` for a repeated dimension, an
+    operation without a child, or a value name that is a key column in the
+    output or in an operation's child frame, where SQL selects both as columns
+    of one query.
     Returns the computed frame's key columns.
     """
+    kinds = columns if isinstance(columns, Mapping) else {}
 
     def read(name: str):
         if columns is not None and name not in columns:
@@ -436,6 +440,8 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
             _no_child(node)
         for name in node.reads():
             read(name)
+        if isinstance(node, _LeafAggregate) and node.tag != "count" and kinds.get(node.var) == TEXT:
+            raise TypeMismatch(f"cannot aggregate text column {node.var!r} with {node.tag}")
         for dim in node.dims():
             if dim in split:
                 raise BindError(f"{type(node).__name__} over {dim!r}, which is already a key")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import metrics as m
 from .errors import NestedBootstrap, UnsupportedInDialect
-from .table import Cell
+from .table import Cell, format_cell
 
 
 class Dialect(enum.Enum):
@@ -75,9 +75,7 @@ def literal(value: Cell, dialect: Dialect) -> str:
         return "NULL"
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return format_cell(value)
 
 
 def _scalar_sql(value: float) -> str:

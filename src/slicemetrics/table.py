@@ -1,13 +1,9 @@
 """Columnar in-memory tables with CSV ingestion, grouping, and row resampling.
 
-Cells are plain Python values: int, float, str, or None (a null). Tables are
-immutable after construction and safe to share across threads.
-
-Each column is converted at most once per table, on first use: to integer
-codes (``Table.codes``), which make grouping integer arithmetic, and to
-float64 values with null and text masks (``Table.floats``), which leaf
-aggregates reduce. A table made by ``take`` gathers its source's filled
-caches instead of converting again.
+Tables are immutable after construction and safe to share across threads.
+Each column has one type, decided once when the table is made, and is stored
+once, as arrays (see ``Column``). Cells are rebuilt from the arrays when asked
+for: plain Python ints, floats and strings, and None for a null.
 """
 
 from __future__ import annotations
@@ -17,9 +13,9 @@ import hashlib
 import io
 import random
 import re
+from numbers import Integral, Real
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -27,29 +23,114 @@ from .errors import EmptyInput, ParseError, SchemaError, UnknownColumn
 
 Cell = int | float | str | None
 
-_INT_RE = re.compile(r"[+-]?[0-9]+")
-_FLOAT_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?")
+INT, FLOAT, TEXT = "int", "float", "text"
+
+# Only a column of these characters can be numeric; int() and float() then
+# decide exactly, as they accept nothing else (no whitespace, "_", "nan").
+_INT_CHARS = re.compile(r"[0-9+\-\n]*")
+_NUMBER_CHARS = re.compile(r"[0-9.eE+\-\n]*")
 
 
-def parse_cell(text: str) -> Cell:
-    """Parse one CSV field: int first, then float, falling back to text.
-
-    The empty string is a null. 'nan'/'inf' style tokens stay text so that
-    dimension values are always groupable.
-    """
-    if text == "":
-        return None
-    if _INT_RE.fullmatch(text):
-        return int(text)
-    if _FLOAT_RE.fullmatch(text):
-        return float(text)
-    return text
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Column:
+    """One column: numeric, as values and a null mask, or text, as codes into levels.
+
+    A numeric column's ``data`` is int64, or float64 when a cell is a float or
+    an int beyond int64; ``null`` marks its null cells and is None when it has
+    none. A text column's ``data`` indexes ``levels``, its distinct cells
+    (strings, and None for a null) in first-appearance order.
+    """
+
     name: str
-    values: tuple[Cell, ...]
+    data: np.ndarray
+    null: np.ndarray | None = None
+    levels: tuple[str | None, ...] | None = None
+
+    @classmethod
+    def from_cells(cls, name: str, cells: Iterable[Cell]) -> "Column":
+        """A column of cells: numeric when each is None or a real number, numpy's too.
+
+        Any other column is text, and its numbers become their CSV text.
+        """
+        cells = list(cells)
+        kinds = set(map(type, cells)) - {type(None)}
+        if not all(issubclass(kind, Real) for kind in kinds):
+            return _text(name, [v if v is None or isinstance(v, str) else format_cell(v)
+                                for v in cells])
+        null = None
+        if None in cells:
+            null = np.fromiter((v is None for v in cells), dtype=bool, count=len(cells))
+            cells = [0 if v is None else v for v in cells]
+        ints = all(issubclass(kind, Integral) for kind in kinds)
+        try:
+            return cls(name, np.array(cells, dtype=np.int64 if ints else np.float64), null)
+        except OverflowError:  # an int beyond int64
+            return cls(name, np.array(cells, dtype=np.float64), null)
+
+    @property
+    def kind(self) -> str:
+        if self.levels is not None:
+            return TEXT
+        return INT if self.data.dtype == np.int64 else FLOAT
+
+    @property
+    def values(self) -> tuple[Cell, ...]:
+        """The cells, rebuilt from the arrays."""
+        if self.levels is not None:
+            return tuple(map(self.levels.__getitem__, self.data.tolist()))
+        cells = self.data.tolist()
+        if self.null is not None:
+            for i in np.flatnonzero(self.null).tolist():
+                cells[i] = None
+        return tuple(cells)
+
+    def nulls(self) -> np.ndarray | None:
+        """Mask of the null cells, or None when the column can have none."""
+        if self.levels is None or None not in self.levels:
+            return self.null
+        return self.data == self.levels.index(None)
+
+    def codes(self) -> tuple[np.ndarray, int]:
+        """Integer codes, equal cells sharing one, and their bound; some may be unused.
+
+        A numeric column is numbered on each call: 0.0 and -0.0 share a code,
+        NaN cells share one, and nulls one more.
+        """
+        if self.levels is not None:
+            return self.data, len(self.levels)
+        uniques, codes = np.unique(self.data, return_inverse=True)
+        if self.null is None:
+            return codes, len(uniques)
+        return np.where(self.null, len(uniques), codes), len(uniques) + 1
+
+    def take(self, rows: np.ndarray) -> "Column":
+        null = None if self.null is None else self.null[rows]
+        return Column(self.name, self.data[rows], null, self.levels)
+
+
+def _text(name: str, cells: list, null: str | None = None) -> Column:
+    """A text column of ``cells``; the cell ``null`` is a null."""
+    index = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
+    codes = np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))
+    return Column(name, codes, levels=tuple(None if cell == null else cell for cell in index))
+
+
+def _typed(name: str, cells: list[str]) -> Column:
+    """A CSV column: numeric when every non-empty cell is a number, else text.
+
+    The empty cell is a null. The numbers are ints when every one is an int
+    that fits int64, and floats otherwise. Text keeps each cell's string, so
+    "nan", "inf" and "1_0" are text, and make their column text.
+    """
+    joined = "\n".join(cells)
+    # A cell holding a newline is no number, and would split in the join.
+    if joined.count("\n") == max(len(cells) - 1, 0) and _NUMBER_CHARS.fullmatch(joined):
+        parse = int if _INT_CHARS.fullmatch(joined) else float
+        try:
+            return Column.from_cells(name, [parse(cell) if cell else None for cell in cells])
+        except ValueError:  # a cell such as "1-2" or "."
+            pass
+    return _text(name, cells, null="")
 
 
 class Table:
@@ -58,25 +139,18 @@ class Table:
     def __init__(self, columns: list[Column] | tuple[Column, ...]):
         columns = tuple(columns)
         _check_names(col.name for col in columns)
-        if columns:
-            n = len(columns[0].values)
-            for col in columns:
-                if len(col.values) != n:
-                    raise SchemaError(
-                        f"column {col.name!r} has {len(col.values)} cells, expected {n}"
-                    )
-            self._row_count = n
-        else:
-            self._row_count = 0
+        n = len(columns[0].data) if columns else 0
+        for col in columns:
+            if len(col.data) != n:
+                raise SchemaError(f"column {col.name!r} has {len(col.data)} cells, expected {n}")
+        self._row_count = n
         self._columns = columns
         self._index = {col.name: i for i, col in enumerate(columns)}
         self._fingerprint: str | None = None
-        self._codes: dict[str, tuple[np.ndarray, int]] = {}
-        self._floats: dict[str, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]] = {}
 
     @classmethod
     def from_dict(cls, data: dict[str, list[Cell] | tuple[Cell, ...]]) -> "Table":
-        return cls([Column(name, tuple(values)) for name, values in data.items()])
+        return cls([Column.from_cells(name, values) for name, values in data.items()])
 
     @property
     def columns(self) -> tuple[Column, ...]:
@@ -85,6 +159,11 @@ class Table:
     @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self._columns)
+
+    @property
+    def schema(self) -> dict[str, str]:
+        """Each column's kind by name: INT, FLOAT or TEXT."""
+        return {col.name: col.kind for col in self._columns}
 
     @property
     def row_count(self) -> int:
@@ -97,96 +176,31 @@ class Table:
         return self._columns[i]
 
     def row(self, i: int) -> tuple[Cell, ...]:
-        return tuple(col.values[i] for col in self._columns)
+        return tuple(col.take([i]).values[0] for col in self._columns)
 
     def rows(self):
-        for i in range(self._row_count):
-            yield self.row(i)
+        return zip(*(col.values for col in self._columns))
 
     def take(self, indices) -> "Table":
-        """New table containing the given rows, in the given order.
-
-        The new table's caches are this table's filled caches, gathered.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
-        rows = idx.tolist()
-        table = Table([Column(col.name, _gather(col.values, rows)) for col in self._columns])
-        table._codes = {name: (codes[idx], n) for name, (codes, n) in self._codes.items()}
-        table._floats = {name: tuple(None if a is None else a[idx] for a in arrays)
-                         for name, arrays in self._floats.items()}
-        return table
-
-    def codes(self, name: str) -> tuple[np.ndarray, int]:
-        """The column's integer codes and their bound: equal cells share a code.
-
-        A table numbers its distinct cells 0, 1, ... in first-appearance order;
-        a table from ``take`` keeps its source's numbers, so some may be unused.
-        Cells are equal as dict keys are: 1 and 1.0 share a code, and a NaN
-        cell shares one only with itself.
-        """
-        hit = self._codes.get(name)
-        if hit is None:
-            hit = self._codes[name] = _factorize(self.column(name).values)
-        return hit
-
-    def floats(self, name: str) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """The column as float64 values, a null mask and a text mask.
-
-        A mask is None when the column has no such cell. Null and text cells
-        read as NaN in the values; a NaN cell is neither null nor text.
-        """
-        hit = self._floats.get(name)
-        if hit is None:
-            cells = values = self.column(name).values
-            text = None
-            if any(issubclass(kind, str) for kind in set(map(type, cells))):
-                text = np.fromiter((isinstance(v, str) for v in cells), dtype=bool,
-                                   count=len(cells))
-                values = tuple(None if isinstance(v, str) else v for v in cells)
-            numbers = np.array(values, dtype=np.float64)  # None reads as NaN
-            null = np.isnan(numbers)
-            nan_at = np.flatnonzero(null)
-            null[nan_at] = [cells[i] is None for i in nan_at.tolist()]
-            hit = self._floats[name] = (numbers, null if null.any() else None, text)
-        return hit
+        """New table containing the given rows, in the given order."""
+        rows = np.asarray(indices, dtype=np.intp)
+        return Table([col.take(rows) for col in self._columns])
 
     def fingerprint(self) -> str:
-        """128-bit content hash used as a cache key component."""
+        """128-bit hash of the arrays and levels, used as a cache key component."""
         if self._fingerprint is None:
             h = hashlib.blake2b(digest_size=16)
+            h.update(repr((self._row_count, [(col.name, col.kind, col.null is None, col.levels)
+                                             for col in self._columns])).encode())
             for col in self._columns:
-                h.update(col.name.encode())
-                h.update(b"\x00")
-                h.update("\x1f".join(_cell_token(v) for v in col.values).encode())
-                h.update(b"\x00")
+                h.update(col.data)
+                if col.null is not None:
+                    h.update(col.null)
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
     def __repr__(self):
         return f"Table({self.row_count} rows, columns={list(self.column_names)})"
-
-
-def _factorize(values) -> tuple[np.ndarray, int]:
-    """Codes numbering the distinct values in first-appearance order, and their count."""
-    index = {value: code for code, value in enumerate(dict.fromkeys(values))}
-    codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
-    return codes, len(index)
-
-
-def _gather(values: tuple, rows: list[int]) -> tuple:
-    if len(rows) > 1:
-        return itemgetter(*rows)(values)
-    return tuple(values[i] for i in rows)
-
-
-def _cell_token(v: Cell) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, str):
-        return "t" + repr(v)
-    if isinstance(v, float):
-        return "f" + repr(v)
-    return "i" + repr(v)
 
 
 def read_csv(source: bytes | io.BufferedIOBase, columns: Iterable[str] | None = None) -> Table:
@@ -208,7 +222,7 @@ def read_csv(source: bytes | io.BufferedIOBase, columns: Iterable[str] | None = 
         return [i for i in keep if header[i] in wanted] or keep[:1]
 
     header, parsed = _read(source, pick)
-    return Table([Column(header[i], tuple(col)) for col, i in parsed])
+    return Table([_typed(header[i], cells) for cells, i in parsed])
 
 
 def read_header(source: bytes | io.BufferedIOBase) -> tuple[str, ...]:
@@ -219,14 +233,10 @@ def read_header(source: bytes | io.BufferedIOBase) -> tuple[str, ...]:
     return tuple(_read(source, lambda header: ())[0])
 
 
-def _read(source, pick) -> tuple[list[str], list[tuple[list[Cell], int]]]:
-    """The header, and the parsed cells of the header positions ``pick(header)`` names."""
-    if isinstance(source, bytes):
-        raw = source
-    else:
-        raw = source.read()
-    text = raw.decode("utf-8-sig")
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _read(source, pick) -> tuple[list[str], list[tuple[list[str], int]]]:
+    """The header, and the raw cells of the header positions ``pick(header)`` names."""
+    raw = source if isinstance(source, bytes) else source.read()
+    reader = csv.reader(io.StringIO(raw.decode("utf-8-sig"), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -238,7 +248,7 @@ def _read(source, pick) -> tuple[list[str], list[tuple[list[Cell], int]]]:
                 f"row {rownum} has {len(row)} fields, expected {len(header)}", row=rownum
             )
         for col, i in parsed:
-            col.append(parse_cell(row[i]))
+            col.append(row[i])
     _check_names(header)
     return header, parsed
 
@@ -271,6 +281,20 @@ def format_cell(v: Cell) -> str:
     return str(v)
 
 
+def coerce_cell(cell: Cell, kind: str) -> Cell:
+    """``cell`` as SQL's column affinity compares it with a column of ``kind``.
+
+    A number meets text as its CSV text, and a string that reads as a number
+    meets numbers as that number.
+    """
+    if cell is None or isinstance(cell, str) == (kind == TEXT):
+        return cell
+    if kind == TEXT:
+        return format_cell(cell)
+    (number,) = _typed("", [cell]).values
+    return cell if number is None else number
+
+
 def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[tuple, np.ndarray]:
     """Row indices of each slice, keyed by tuples of dimension values.
 
@@ -285,12 +309,14 @@ def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[tupl
     n = table.row_count
     if not split_by:
         return {(): np.arange(n)}
-    ids, size = table.codes(split_by[0])
-    for name in split_by[1:]:
-        codes, card = table.codes(name)
+    columns = [table.column(name) for name in split_by]
+    ids, size = columns[0].codes()
+    for col in columns[1:]:
+        codes, card = col.codes()
         ids, size = ids * card + codes, size * card
         if size > n:  # keep the id space, and so the arrays below, within O(n)
-            ids, size = _factorize(ids.tolist())
+            uniques, ids = np.unique(ids, return_inverse=True)
+            size = len(uniques)
     first = np.full(size, n, dtype=np.intp)
     first[ids[::-1]] = np.arange(n - 1, -1, -1)  # the last write, the first row, wins
     slices = np.flatnonzero(first < n)
@@ -302,8 +328,7 @@ def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[tupl
     order = np.argsort(of_row.astype(np.uint16) if len(slices) < 1 << 16 else of_row,
                        kind="stable")
     bounds = np.cumsum(np.bincount(of_row, minlength=len(slices)))[:-1]
-    columns = [table.column(name).values for name in split_by]
-    keys = [tuple(col[i] for col in columns) for i in first[slices].tolist()]
+    keys = zip(*(col.take(first[slices]).values for col in columns))
     return dict(zip(keys, np.split(order, bounds)))
 
 

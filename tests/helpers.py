@@ -12,7 +12,7 @@ import random
 import sqlite3
 
 from slicemetrics import SqlQuery, Table
-from slicemetrics.table import Column
+from slicemetrics.table import FLOAT, INT, TEXT
 
 
 class StdDevAgg:
@@ -49,16 +49,11 @@ def connect() -> sqlite3.Connection:
     return con
 
 
-def _affinity(col: Column) -> str:
-    if any(isinstance(v, str) for v in col.values):
-        return "TEXT"
-    if any(isinstance(v, float) for v in col.values):
-        return "REAL"
-    return "INTEGER"
+_AFFINITY = {INT: "INTEGER", FLOAT: "REAL", TEXT: "TEXT"}
 
 
 def load_table(con: sqlite3.Connection, name: str, table: Table):
-    decls = ", ".join(f'"{col.name}" {_affinity(col)}' for col in table.columns)
+    decls = ", ".join(f'"{col.name}" {_AFFINITY[col.kind]}' for col in table.columns)
     con.execute(f'CREATE TABLE "{name}" ({decls})')
     marks = ",".join("?" * len(table.columns))
     con.executemany(f'INSERT INTO "{name}" VALUES ({marks})', list(table.rows()))

@@ -345,7 +345,7 @@ def test_mutated_programs_raise_only_metrics_errors(capsys, tmp_path):
 
 
 # alpha, beta and gamma are the columns random_pipeline reads; note (text),
-# score (float) and mixed (int and text) are only read when split by.
+# score (float) and mixed (digits and words, so text) are only read when split by.
 PROJECTION_CSV = b"""alpha,note,beta,score,gamma,mixed
 0,first,2.5,0.25,base,1
 1,,,1.5,zero,two
@@ -361,8 +361,8 @@ def _library_run(source, table, table_name, split_by, mode, fmt):
     ctx = EvalContext()
     try:
         metrics = [set_n_rep(one, 3) for one in parse(source).metrics]
-        for one in metrics:
-            bind(one, split_by, table.column_names)
+        for one in metrics:  # compute mode binds the schema, SQL mode the header's names
+            bind(one, split_by, table.schema if mode == "compute" else table.column_names)
         if mode == "sql":
             texts = [to_sql(one, table_name, split_by).render() for one in metrics]
             return 0, ";\n\n".join(texts) + "\n", ""
@@ -412,10 +412,10 @@ def test_unread_columns_are_still_checked(capsys, tmp_path, mode, data, split_by
 
 
 def test_sql_mode_parses_no_cell(capsys, tmp_path, monkeypatch):
-    def no_parse(text):
-        raise AssertionError(f"parsed {text!r}")
+    def no_parse(name, cells):
+        raise AssertionError(f"parsed column {name!r}")
 
-    monkeypatch.setattr("slicemetrics.table.parse_cell", no_parse)
+    monkeypatch.setattr("slicemetrics.table._typed", no_parse)
     path = tmp_path / "edge.csv"
     path.write_bytes(b"alpha,note\n1,a\n")
     code, out, err = run_cli(capsys, "--metric", "sum(alpha)", "--input", str(path),
@@ -427,7 +427,16 @@ def test_text_in_a_read_column_is_still_a_type_mismatch(capsys, tmp_path):
     path = tmp_path / "edge.csv"
     path.write_bytes(b"alpha,note\n1,a\noops,b\n")
     got = run_cli(capsys, "--metric", "sum(alpha)", "--input", str(path))
-    assert got == (1, "", "error: cannot aggregate text cell 'oops' in column 'alpha' with sum\n")
+    assert got == (1, "", "error: cannot aggregate text column 'alpha' with sum\n")
+
+
+def test_text_value_column_counts_but_does_not_sum(capsys, tmp_path):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(b"g,x\na,1\nb,oops\n")
+    assert run_cli(capsys, "--metric", "count(x)", "--input", str(path), "--split-by", "g") == (
+        0, "g,count_x\na,1.0\nb,1.0\n", "")
+    assert run_cli(capsys, "--metric", "sum(x)", "--input", str(path), "--split-by", "g") == (
+        1, "", "error: cannot aggregate text column 'x' with sum\n")
 
 
 def test_program_reading_no_column_keeps_the_row_count(capsys, tmp_path):

@@ -386,6 +386,13 @@ class TestJackknife:
         got = compute_on(Mean("x") | Jackknife("unit"), t).single_value()
         assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_nan_unit_leaves_out_its_rows(self):
+        # A NaN unit is a unit, as a null one is: its replicate drops its row.
+        for first in (float("nan"), None):
+            t = Table.from_dict({"u": [first, 1, 2], "x": [10, 1, 2]})
+            se = compute_on(Mean("x") | Jackknife("u"), t).single_value()
+            assert se == pytest.approx(2.848, abs=5e-4)
+
     def test_single_unit_is_nan(self):
         t = Table.from_dict({"unit": ["a", "a"], "x": [1, 2]})
         assert math.isnan(compute_on(Mean("x") | Jackknife("unit"), t).single_value())
@@ -442,8 +449,9 @@ class TestColumnCaches:
     ]
 
     def test_replicates_match_fresh_tables(self):
-        # take gathers the source's filled caches; a table built from the same
-        # cells converts its columns afresh. Both must compute the same frames.
+        # take gathers each column's arrays and keeps its levels; a table built
+        # from the same cells types and numbers them afresh. Both must compute
+        # the same frames.
         rng = random.Random(71)
         for _ in range(30):
             t = random_table(rng, null_rate=0.15)

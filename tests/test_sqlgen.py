@@ -22,9 +22,11 @@ from slicemetrics import (
     StdDev,
     Sum,
     Table,
+    TypeMismatch,
     UnsupportedInDialect,
     Variance,
     compute_on,
+    read_csv,
     to_sql,
 )
 from slicemetrics.metrics import ScalarLiteral, bind, walk
@@ -516,3 +518,35 @@ class TestBackendEquivalenceSpot:
                 assert frame.key_columns == bind(metric, split) == query.key_columns, metric
                 checked += 1
         assert checked > 50
+
+
+class TestOneTypePerColumn:
+    # "t" makes arm a text column, so its "1" cells are strings in both backends.
+    ARMS = b"arm,x\n1,10\nt,15\n1,20\nt,30\n"
+
+    @pytest.mark.parametrize("baseline", ["1", 1], ids=["text", "number"])
+    def test_numeric_baseline_meets_a_text_column_as_text(self, baseline):
+        t = read_csv(self.ARMS)
+        metric = Sum("x") | PercentChange("arm", baseline)
+        assert dict(compute_on(metric, t).rows) == {("1",): (0.0,), ("t",): (50.0,)}
+        assert_backend_equal(metric, t)
+
+    @pytest.mark.parametrize("baseline", ["1", "1.0", 1])
+    def test_numeric_text_baseline_meets_a_numeric_column_as_a_number(self, baseline):
+        t = read_csv(b"arm,x\n1,10\n2,15\n1,20\n2,30\n")
+        metric = Sum("x") | PercentChange("arm", baseline)
+        assert dict(compute_on(metric, t).rows) == {(1,): (0.0,), (2,): (50.0,)}
+        assert_backend_equal(metric, t)
+
+    def test_other_text_baseline_meets_no_number(self):
+        t = read_csv(b"arm,x\n1,10\n2,15\n")
+        for baseline in ("one", ""):
+            assert_backend_equal(Sum("x") | PercentChange("arm", baseline), t)
+
+    def test_text_in_a_value_column(self):
+        t = read_csv(b"g,x\na,1\nb,oops\n")
+        assert_backend_equal(Count("x"), t, ("g",))
+        with pytest.raises(TypeMismatch):
+            bind(Sum("x"), ("g",), t.schema)
+        with pytest.raises(TypeMismatch):
+            compute_on(Sum("x"), t, ("g",))

@@ -16,9 +16,11 @@ from slicemetrics import (
     read_csv,
 )
 from slicemetrics.table import (
+    FLOAT,
+    INT,
+    TEXT,
     Column,
     group_rows,
-    parse_cell,
     resample_with_replacement,
     write_csv,
 )
@@ -47,8 +49,13 @@ class TestReadCsv:
         assert t.column("a").values == (None,)
 
     def test_int_then_float_then_text_priority(self):
-        t = read_csv(b"v\n7\n7.5\nseven\n")
-        assert t.column("v").values == (7, 7.5, "seven")
+        # One type per column: any text cell makes every cell its string,
+        # and any float cell makes every number a float.
+        t = read_csv(b"v,w,x\n7,7,7\n7.5,7.5,8\nseven,,\n")
+        assert t.column("v").values == ("7", "7.5", "seven")
+        assert t.column("w").values == (7.0, 7.5, None)
+        assert t.column("x").values == (7, 8, None)
+        assert t.schema == {"v": TEXT, "w": FLOAT, "x": INT}
 
     def test_quoted_fields(self):
         t = read_csv(b'a,b\n"hello, world",2\n')
@@ -72,13 +79,74 @@ class TestReadCsv:
             read_csv(b"")
 
 
+class TestColumnTyping:
+    def test_a_newline_between_digits_makes_the_column_text(self):
+        # int() and float() would read "4\n" as 4: a newline is not whitespace to skip.
+        t = read_csv(b'v,w\n1,1\n"2\n3","4\n"\n')
+        assert t.schema == {"v": TEXT, "w": TEXT}
+        assert t.column("v").values == ("1", "2\n3")
+        assert t.column("w").values == ("1", "4\n")
+
+    def test_an_int_beyond_int64_makes_the_column_float(self):
+        t = read_csv(f"v,w\n{2**63},1\n{2**63 - 1},2\n".encode())
+        assert t.schema == {"v": FLOAT, "w": INT}
+        assert t.column("v").values == (float(2**63), float(2**63 - 1))
+        assert Table.from_dict({"v": [2**63, 1]}).schema == {"v": FLOAT}
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_nan_and_inf_tokens_make_the_column_text(self, token):
+        t = read_csv(f"v\n1.5\n{token}\n".encode())
+        assert t.column("v").kind == TEXT
+        assert t.column("v").values == ("1.5", token)
+
+    def test_an_all_empty_column_is_numeric(self):
+        t = read_csv(b"v,w\n,1\n,2\n")
+        assert t.column("v").kind == INT and t.column("v").values == (None, None)
+        assert read_csv(b"v\n").column("v").kind == INT
+        assert Table.from_dict({"v": [None, None]}).column("v").kind == INT
+
+    def test_signed_zero_and_plus_are_ints(self):
+        t = read_csv(b"v\n-0\n+5\n007\n")
+        assert t.column("v").kind == INT
+        assert t.column("v").values == (0, 5, 7)
+
+    def test_from_dict_mixing_strings_and_numbers_is_text(self):
+        t = Table.from_dict({"v": ["a", 1, 2.5, None], "w": [1, 2.5, None, 3]})
+        assert t.schema == {"v": TEXT, "w": FLOAT}
+        assert t.column("v").values == ("a", "1", "2.5", None)
+        assert t.column("w").values == (1.0, 2.5, None, 3.0)
+
+
+def _reference_cell(text: str):
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
 def _reference_read(data: bytes) -> Table:
-    """Every column parsed cell by cell: the full read that projections must match."""
+    """Every column typed from its parsed cells: the full read projections must match.
+
+    Only the digit-and-sign cells the tests write are parsed, so int() and
+    float() are the reference. A column with a text cell keeps every string.
+    """
     reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
     header = next(reader)
     rows = list(reader)
-    return Table([Column(name, tuple(parse_cell(row[i]) for row in rows))
-                  for i, name in enumerate(header)])
+    columns = {}
+    for i, name in enumerate(header):
+        texts = [row[i] for row in rows]
+        cells = [None if text == "" else _reference_cell(text) for text in texts]
+        if any(isinstance(cell, str) for cell in cells):
+            cells = [None if text == "" else text for text in texts]
+        columns[name] = cells
+    return Table.from_dict(columns)
+
+
+def _described(table: Table):
+    return [(col.name, col.kind, col.values) for col in table.columns]
 
 
 class TestReadCsvColumns:
@@ -87,7 +155,7 @@ class TestReadCsvColumns:
     def test_none_reads_every_column(self):
         full = read_csv(self.DATA, None)
         want = _reference_read(self.DATA)
-        assert full.columns == want.columns == read_csv(self.DATA).columns
+        assert _described(full) == _described(want) == _described(read_csv(self.DATA))
 
     def test_subset_keeps_header_order(self):
         t = read_csv(self.DATA, ["d", "a"])
@@ -113,6 +181,7 @@ class TestReadCsvColumns:
             assert part.column_names == tuple(n for n in full.column_names if n in names)
             assert part.row_count == full.row_count
             for col in part.columns:
+                assert col.kind == full.column(col.name).kind
                 assert col.values == full.column(col.name).values
 
     def test_unread_columns_are_still_checked(self):
@@ -128,6 +197,8 @@ class TestReadCsvColumns:
 
 
 class TestParseCell:
+    """A one-cell column is typed as its cell: int, then float, then text."""
+
     @pytest.mark.parametrize(
         "text,expected",
         [
@@ -138,13 +209,15 @@ class TestParseCell:
         ],
     )
     def test_priority(self, text, expected):
-        assert parse_cell(text) == expected
+        t = read_csv(f'v\n"{text}"\n'.encode())
+        assert t.column("v").values == (expected,)
+        assert type(t.column("v").values[0]) is type(expected)
 
 
 class TestTableInvariants:
     def test_column_length_mismatch(self):
         with pytest.raises(SchemaError):
-            Table([Column("a", (1, 2)), Column("b", (1,))])
+            Table([Column.from_cells("a", (1, 2)), Column.from_cells("b", (1,))])
 
     def test_unknown_column(self, fig2):
         with pytest.raises(UnknownColumn):
