@@ -42,7 +42,7 @@ sql_rows = {row[0]: row[1] for row in con.execute(portable.text)}
 
 frame = compute_on(change, events)
 print(f"{'experiment':<12} {'sqlite':>10} {'compute':>10}")
-for key, values in frame.sorted_rows():
+for key, values in frame.rows:
     arm = key[frame.key_columns.index("experiment")]
     print(f"{arm:<12} {sql_rows[arm]:>10.4f} {values[0]:>10.4f}")
 

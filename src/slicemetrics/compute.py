@@ -59,7 +59,8 @@ def compute_on(
 
     A sequence shares one cache, so common subtrees are computed once; the
     frames are then merged on their keys. Jointly computed metrics must
-    produce identical key columns.
+    produce identical key columns. Rows come sorted by key
+    (``ResultFrame.sorted_rows``), the order of the SQL's ``ORDER BY``.
     """
     ctx = ctx or EvalContext()
     split_by = tuple(split_by)
@@ -71,22 +72,16 @@ def compute_on(
     if len(set(names)) != len(names):
         raise BindError(f"jointly computed metrics repeat a value name: {names}")
     frames = [_cached_compute(one, table, split_by, ctx) for one in metrics]
-    return frames[0] if isinstance(metric, m.Metric) else _merge_frames(frames)
+    frame = frames[0] if isinstance(metric, m.Metric) else _merge_frames(frames)
+    return ResultFrame(frame.key_columns, frame.value_columns, tuple(frame.sorted_rows()))
 
 
 def _merge_frames(frames: list[ResultFrame]) -> ResultFrame:
-    keys = frames[0].key_columns
     value_columns = tuple(n for frame in frames for n in frame.value_columns)
-    order: list[tuple] = []
-    seen: set[tuple] = set()
-    for frame in frames:
-        for key, _ in frame.rows:
-            if key not in seen:
-                seen.add(key)
-                order.append(key)
     maps = [dict(frame.rows) for frame in frames]
-    rows = tuple((key, tuple(rowmap.get(key, (NAN,))[0] for rowmap in maps)) for key in order)
-    return ResultFrame(keys, value_columns, rows)
+    rows = tuple((key, tuple(rowmap.get(key, (NAN,))[0] for rowmap in maps))
+                 for key in dict.fromkeys(key for rowmap in maps for key in rowmap))
+    return ResultFrame(frames[0].key_columns, value_columns, rows)
 
 
 def _cached_compute(metric: m.Metric, table: Table, split_by, ctx: EvalContext) -> ResultFrame:
@@ -213,32 +208,24 @@ def eval_composite(
 
     left_groups = _group_by_positions(left, left_common)
     right_groups = _group_by_positions(right, right_common)
-    order = list(left_groups)
-    order.extend(k for k in right_groups if k not in left_groups)
-
-    rows: list[tuple[tuple, tuple[float]]] = []
-    seen: set[tuple] = set()
-
-    def emit(key: tuple, value: float):
-        if key not in seen:
-            seen.add(key)
-            rows.append((key, (value,)))
-
-    for proj in order:
+    # A key met twice keeps its first value.
+    rows: dict[tuple, tuple[float]] = {}
+    for proj in dict.fromkeys([*left_groups, *right_groups]):
         lrows = left_groups.get(proj, [])
         rrows = right_groups.get(proj, [])
         if (len(lrows) == 1 and rrows) or (len(rrows) == 1 and lrows):
             # One side is coarser here and broadcasts across the other's rows.
             for lkey, (a,) in lrows:
                 for rkey, (b,) in rrows:
-                    emit(lkey + tuple(rkey[i] for i in right_extra), _apply(op, a, b))
+                    rows.setdefault(lkey + tuple(rkey[i] for i in right_extra),
+                                    (_apply(op, a, b),))
         else:
             # One-sided, or both sides refined the same slice differently: unalignable.
             for key, _ in lrows:
-                emit(key + (None,) * len(extra), NAN)
+                rows.setdefault(key + (None,) * len(extra), (NAN,))
             for key, _ in rrows:
-                emit(tuple(None if i is None else key[i] for i in right_at), NAN)
-    return ResultFrame(key_columns, names or left.value_columns, tuple(rows))
+                rows.setdefault(tuple(None if i is None else key[i] for i in right_at), (NAN,))
+    return ResultFrame(key_columns, names or left.value_columns, tuple(rows.items()))
 
 
 def _group_by_positions(frame: ResultFrame, positions: list[int]):

@@ -44,7 +44,6 @@ class SqlQuery:
     text: str
     key_columns: tuple[str, ...]
     value_columns: tuple[str, ...]
-    dialect: Dialect
     preamble: tuple[str, ...] = ()
 
     def render(self) -> str:
@@ -163,7 +162,9 @@ def to_sql(
     """Compile a metric into one executable query over the table expression.
 
     The query's key columns are those of ``compute_on``: split_by followed by
-    the operation-introduced dimensions, outermost first. Bootstrap adds a
+    the operation-introduced dimensions, outermost first. It selects them
+    first and ends with ``ORDER BY`` over their positions, so its rows come in
+    ``compute_on``'s order. Bootstrap adds a
     temp-table statement to the preamble; Jackknife has no SQL form. A table
     named like a CTE that encloses its reads (``T``, or ``Base`` under a
     change, in any case) raises ``UnsupportedInDialect``.
@@ -171,11 +172,12 @@ def to_sql(
     split_by = tuple(split_by)
     key_columns = m.bind(metric, split_by)
     text, preamble = _node_to_sql(metric, data, split_by, dialect)
+    if key_columns:  # by position: under a change, a bare key name is ambiguous
+        text += " ORDER BY " + ", ".join(str(i + 1) for i in range(len(key_columns)))
     return SqlQuery(
         text=text,
         key_columns=key_columns,
         value_columns=metric.names(),
-        dialect=dialect,
         preamble=tuple(preamble),
     )
 

@@ -89,7 +89,7 @@ def values_close(a: float, b: float, tol: float) -> bool:
 
 
 def assert_backend_equal(metric, table: Table, split_by=(), tol=1e-9):
-    """compute_on and executed portable SQL must agree key for key."""
+    """compute_on and executed portable SQL must agree key for key, in one row order."""
     from slicemetrics import Dialect, compute_on, to_sql
 
     frame = compute_on(metric, table, split_by)
@@ -99,6 +99,9 @@ def assert_backend_equal(metric, table: Table, split_by=(), tol=1e-9):
     want = dict(frame.rows)
     assert set(got) == set(want), (
         f"key sets differ:\n sql={sorted(got)}\n compute={sorted(want)}"
+    )
+    assert list(got) == [key for key, _ in frame.rows], (
+        f"row orders differ:\n sql={list(got)}\n compute={list(want)}"
     )
     for key, vals in want.items():
         for a, b in zip(got[key], vals):

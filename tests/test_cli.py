@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -80,7 +84,7 @@ class TestComputeMode:
             "--split-by", "region",
         )
         assert code == 0
-        assert out == "region,count_lost\nUS,4.0\nEU,2.0\n"
+        assert out == "region,count_lost\nEU,2.0\nUS,4.0\n"
 
     def test_seed_changes_bootstrap_output(self, capsys, fig2_csv_path):
         args = ["--metric", "mean(lost) | bootstrap(30)", "--input", fig2_csv_path]
@@ -459,3 +463,44 @@ def test_integer_baseline_is_exact(capsys, tmp_path):
     metric = f"sum(x) | absolute_change(id, {'9' * 400})"
     code, out, _ = run_cli(capsys, "--metric", metric, "--input", str(path), "--mode", "sql")
     assert code == 0 and f"WHERE id = {'9' * 400}" in out
+
+
+# Region "b" has no control row, so the change warns, in the point estimate
+# and in every bootstrap replicate that draws a "b" row.
+DETERMINISM_CSV = b"""region,arm,x
+a,control,1
+a,t,2.5
+b,t,3
+b,t1,4
+a,t1,5
+c,control,6
+,t,0.5
+c,t,2
+"""
+
+
+def test_output_is_byte_identical_under_any_hash_seed(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(DETERMINISM_CSV)
+    program = ('sum(x) | percent_change(arm, "control");'
+               ' mean(x) / count(x) as "per" | percent_change(arm, "control") | bootstrap(20)')
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = {"csv": ["--format", "csv"], "table": ["--format", "table"],
+            "sql": ["--mode", "sql"]}
+    for mode, flags in runs.items():
+        outcomes = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "slicemetrics", "--input", str(path), "--metric", program,
+                 "--split-by", "region", "--seed", "3", *flags],
+                capture_output=True, env=env, timeout=60,
+            )
+            outcomes.append((done.returncode, done.stdout, done.stderr))
+        assert outcomes[0] == outcomes[1], mode
+        code, out, err = outcomes[0]
+        assert code == 0, err
+        if mode == "sql":
+            assert out.count(b" ORDER BY 1, 2") == 2 and err == b""
+        else:
+            assert b"missing_baseline" in err and out.count(b"\nb ") + out.count(b"\nb,") == 2

@@ -504,3 +504,22 @@ class TestSplitting:
         frame = compute_on([Sum("lost"), Count("lost")], fig2, ("region",))
         assert frame.value_columns == ("sum_lost", "count_lost")
         assert dict(frame.rows) == {("US",): (2.0, 4.0), ("EU",): (1.0, 2.0)}
+
+    def test_rows_are_sorted_by_key_in_any_input_order(self):
+        # Nulls, then numbers, then NaN (unordered against every number), then text.
+        nan = math.nan
+        g = [1.0, nan, None, 0.5, 2.0, nan, 0.5]
+        results = []
+        for order in (g, g[::-1], g[3:] + g[:3]):
+            t = Table.from_dict({"g": order, "x": [7 if v is None else v for v in order]})
+            results.append(repr(compute_on(Count("x"), t, ("g",)).rows))
+        assert results[0] == results[1] == results[2]
+        assert results[0] == repr((
+            ((None,), (1.0,)), ((0.5,), (2.0,)), ((1.0,), (1.0,)), ((2.0,), (1.0,)),
+            ((nan,), (2.0,)),
+        ))
+
+    def test_joint_rows_are_sorted_by_key(self):
+        t = Table.from_dict({"g": ["b", None, "B", "a"], "x": [1, 2, 3, 4]})
+        frame = compute_on([Sum("x"), Sum("x") * 2.0], t, ("g",))
+        assert [key for key, _ in frame.rows] == [(None,), ("B",), ("a",), ("b",)]

@@ -550,3 +550,64 @@ class TestOneTypePerColumn:
             bind(Sum("x"), ("g",), t.schema)
         with pytest.raises(TypeMismatch):
             compute_on(Sum("x"), t, ("g",))
+
+
+class TestRowOrder:
+    # compute_on sorts its rows by key and the SQL ends with ORDER BY over the
+    # key positions; sqlite's ascending order (NULL, then numbers, then text
+    # by code point) is the frame's, so the two row orders are one.
+
+    _TEXT = {
+        "g1": ["north", "South", "ēast", "Öst", "north east", ""],
+        "g2": ["red", "blue", "Blue"],
+        "arm": ["control", "t1", "t2"],
+        "period": ["before", "after"],
+    }
+    _TREES = [
+        Sum("x"),
+        Count("y"),
+        (Mean("x") / Sum("y") + 1.0).set_names(["ratio"]),
+        Count("x") | Distribution("arm"),
+        Sum("y") | PercentChange("arm", "control"),
+        Mean("x") | AbsoluteChange("arm", "control") | AbsoluteChange("period", "before"),
+        Mean("x") | Bootstrap(20, seed=5),
+        Sum("y") | AbsoluteChange("arm", "control") | Bootstrap(20, seed=5),
+    ]
+
+    def _table(self, rng: random.Random) -> Table:
+        """Nulls in every column; one g1 slice may have no non-null x."""
+        n = rng.randint(0, 30)
+
+        def cells(values, rate):
+            return [None if rng.random() < rate else rng.choice(values) for _ in range(n)]
+
+        data = {name: cells(values, 0.15) for name, values in self._TEXT.items()}
+        if rng.random() < 0.3:
+            data["g2"] = cells([1, -2, 30, 2.5], 0.15)
+        data["x"] = cells([-1.5, 0.0, 2.25, 4.0], 0.2)
+        data["y"] = cells([0, 1, 7], 0.2)
+        emptied = rng.choice(self._TEXT["g1"])
+        if rng.random() < 0.5:
+            data["x"] = [None if g == emptied else v for g, v in zip(data["g1"], data["x"])]
+        return Table.from_dict(data)
+
+    def test_compute_rows_come_in_the_sql_cursor_order(self):
+        rng = random.Random(2727)
+        checked = 0
+        for _ in range(40):
+            t = self._table(rng)
+            for metric in self._TREES:
+                if t.row_count == 0 and isinstance(metric, Bootstrap):
+                    continue
+                for split in [(), ("g1",), ("g1", "g2")]:
+                    frame = compute_on(metric, t, split)
+                    got = execute_query(to_sql(metric, "d", split, PORTABLE), {"d": t})
+                    assert list(got) == [key for key, _ in frame.rows], (metric, split)
+                    checked += len(frame.rows) > 1
+        assert checked > 500
+
+    def test_statements_end_with_order_by_the_key_positions(self):
+        metric = Mean("v") | AbsoluteChange("h", "x") | Bootstrap(3)
+        for dialect in Dialect:
+            assert to_sql(metric, "d", ("g",), dialect).text.endswith(" ORDER BY 1, 2")
+            assert to_sql(Sum("v"), "d", (), dialect).text == "SELECT SUM(v) AS sum_v FROM d"
