@@ -5,8 +5,11 @@ columns' integer codes, and reduce each slice of the column's values array.
 Operations run in three phases: preprocess the data, compute the child
 (usually at a finer granularity), then post-process the child frame.
 Bootstrap and jackknife replicates are tables taken from the input, one array
-gather per column. Shared subtrees are evaluated once per (metric, data,
-split) thanks to a content addressed cache on the evaluation context.
+gather per column. A bootstrap resamples within each ``split_by`` slice, with
+the generated SQL's integer hash and in its row order (``table.draw_order``),
+so both backends draw the same rows. Shared subtrees are evaluated once per
+(metric, data, split) thanks to a content addressed cache on the evaluation
+context.
 
 Every metric has one value per slice. Arithmetic on result frames follows the
 pointwise rule: frames are joined on their common key columns, the two sides'
@@ -17,7 +20,6 @@ NaN rather than an error.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 from . import metrics as m
 from .errors import BindError, EmptyInput
 from .frames import ResultFrame
-from .table import Table, coerce_cell, group_rows, resample_with_replacement
+from .table import Table, coerce_cell, draw_order, group_rows, resample_with_replacement
 
 NAN = float("nan")
 
@@ -302,20 +304,10 @@ def _eval_change(node, table, split_by, ctx):
 def _eval_bootstrap(node, table, split_by, ctx):
     if table.row_count == 0:
         raise EmptyInput("bootstrap requires at least one row")
-    replicates = (
-        resample_with_replacement(table, _replicate_rng(node.seed, i)) for i in range(node.n_rep)
-    )
+    order = draw_order(table, split_by, node.draw_columns(split_by))
+    replicates = (resample_with_replacement(table, order, node.seed, i)
+                  for i in range(1, node.n_rep + 1))
     return _replicate_se(node, replicates, _sample_sd, split_by, ctx)
-
-
-def _replicate_rng(seed: int, i: int) -> random.Random:
-    """Generator of replicate ``i``; distinct (seed, i) pairs never share a seed.
-
-    ``random.Random`` seeds with ``abs``, so the seed is first folded onto the
-    naturals (s >= 0 to 2s, s < 0 to -2s - 1) and then Cantor-paired with i.
-    """
-    z = 2 * seed if seed >= 0 else -2 * seed - 1
-    return random.Random((z + i) * (z + i + 1) // 2 + i)
 
 
 def _eval_jackknife(node, table, split_by, ctx):

@@ -365,6 +365,13 @@ class Bootstrap(Operation):
         if self.n_rep < 1:
             raise BindError(f"n_rep must be positive, got {self.n_rep}")
 
+    def draw_columns(self, split_by) -> list[str]:
+        """The columns both backends order each slice's rows by before drawing.
+
+        They are the columns the child reads, less ``split_by``, by name.
+        """
+        return sorted(columns_read(self.child) - set(split_by))
+
 
 @dataclass(frozen=True)
 class Jackknife(Operation):

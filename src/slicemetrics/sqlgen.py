@@ -4,9 +4,9 @@ Every query selects its key columns and the metric's one value column.
 Simple metrics become a single aggregation query. Operations wrap their
 child's query in CTEs: a distribution divides by a window sum, changes join
 the child against a baseline selection, and bootstrap numbers the rows of
-each slice once in a temp table (the preamble), draws rows per replicate by
-joining seeded row numbers back to it, and aggregates the finite
-per-replicate results with STDDEV.
+each slice once in a temp table (the preamble), ordered by the columns the
+child reads, draws rows per replicate by joining seeded row numbers back to
+it, and aggregates the finite per-replicate results with STDDEV.
 
 Division follows IEEE, as in the compute engine: x/0 is +-inf and 0/0 is
 NULL (NaN). Two dialects are supported. ``portable`` targets engines like
@@ -15,7 +15,8 @@ replicate series is a recursive CTE. ``googlesql`` emits BigQuery style SQL
 (``IEEE_DIVIDE``, ``SELECT * EXCEPT``, ``UNNEST(GENERATE_ARRAY(...))``,
 ``MOD``) and is not executed by the test harness. Both draw bootstrap rows
 with the same integer hash of (seed, replicate, row), so the query text
-alone fixes the draw.
+alone fixes the draw. The hash is ``table.mix``, the compute engine's, so
+on sqlite a replicate draws the rows ``compute_on`` draws.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from . import metrics as m
 from .errors import NestedBootstrap, UnsupportedInDialect
-from .table import Cell, format_cell
+from .table import MULTIPLIER, ROUNDS, STATES, Cell, format_cell, mix
 
 
 class Dialect(enum.Enum):
@@ -255,7 +256,7 @@ def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect):
     child = node.child
     if any(isinstance(n, m.Bootstrap) for n in m.walk(child)):
         raise NestedBootstrap("Bootstrap cannot contain another Bootstrap in SQL generation")
-    columns = sorted(m.columns_read(child) - set(split_by))
+    columns = node.draw_columns(split_by)
     _check_bootstrap_names(child, split_by, columns)
     input_data, samples = resample_n_times_sql(
         data, split_by, node.n_rep, dialect, seed=node.seed, columns=columns
@@ -301,32 +302,16 @@ def _check_bootstrap_names(child: m.Metric, split_by, columns):
         )
 
 
-# The draw hash works on 30-bit integers: every intermediate of a round fits
-# in a 64-bit integer. A round is quadratic, then affine (the quadratic step
-# breaks the lattice structure a pure LCG would give); both steps, and so
-# _mix, are bijections modulo 2**30.
-_STATES = 1073741824
-_MULTIPLIER = 1103515245
-_ROUNDS = (12345, 54321)
-
-
-def _mix(x: int) -> int:
-    """The draw hash's bijection, as ``_mix_sql`` computes it in SQL."""
-    for c in _ROUNDS:
-        x = (x * (1 + 4 * x) % _STATES * _MULTIPLIER + c) % _STATES
-    return x
-
-
 def _mod(a: str, dialect: Dialect) -> str:
     """a modulo 2**30 (GoogleSQL has no % operator)."""
     if dialect is Dialect.GOOGLESQL:
-        return f"MOD({a}, {_STATES})"
-    return f"(({a}) % {_STATES})"
+        return f"MOD({a}, {STATES})"
+    return f"(({a}) % {STATES})"
 
 
 def _mix_names(name: str) -> tuple[str, ...]:
     """The columns ``_mix_sql`` makes: one per round's input, then ``name``."""
-    return tuple(f"{name}_{i}" for i in range(len(_ROUNDS))) + (name,)
+    return tuple(f"{name}_{i}" for i in range(len(ROUNDS))) + (name,)
 
 
 # The columns the bootstrap SQL adds beside the input's: Data numbers each
@@ -339,16 +324,16 @@ _BOOTSTRAP_COLUMNS = frozenset(
 
 
 def _mix_sql(source: str, keep: str, x: str, name: str, dialect: Dialect) -> str:
-    """SELECT keep, _mix(x) AS name FROM source.
+    """SELECT keep, mix(x) AS name FROM source, with ``table.mix``'s rounds.
 
     Each round reads its input twice, so every round is its own subquery
     and the text stays linear in the number of rounds.
     """
     names = _mix_names(name)
     query = f"SELECT {keep}, {_mod(x, dialect)} AS {names[0]} FROM {source}"
-    for c, arg, out in zip(_ROUNDS, names, names[1:]):
+    for c, arg, out in zip(ROUNDS, names, names[1:]):
         quadratic = _mod(f"{arg} * (1 + 4 * {arg})", dialect)
-        mixed = _mod(f"{quadratic} * {_MULTIPLIER} + {c}", dialect)
+        mixed = _mod(f"{quadratic} * {MULTIPLIER} + {c}", dialect)
         query = f"SELECT {keep}, {mixed} AS {out}\n  FROM ({query})"
     return query
 
@@ -365,30 +350,37 @@ def resample_n_times_sql(
     """SQL for bootstrap resampling: (numbered input, realized samples).
 
     The input query keeps ``split_by`` plus ``columns`` and numbers the rows
-    of each split_by slice once, next to the slice's size; it is materialized
-    as the temp table Data. The samples query crosses Data with the replicate
-    series in a Draws subquery that keeps only the slice keys, ``sample_idx``
-    and a drawn row number, then joins the draws back to Data on the keys
-    (null-safe) and the row number. So replicate i of a slice holds slice_size
-    rows drawn with replacement from that slice.
+    of each split_by slice once, ordered by ``columns`` (nulls first), next
+    to the slice's size; it is materialized as the temp table Data. Rows
+    that tie are equal in every kept column, so the numbering fixes the draw
+    up to interchangeable rows; ``table.draw_order`` numbers them the same.
+    The samples query crosses Data with the replicate series in a Draws
+    subquery that keeps only the slice keys, ``sample_idx`` and a drawn row
+    number, then joins the draws back to Data on the keys (null-safe) and the
+    row number. So replicate i of a slice holds slice_size rows drawn with
+    replacement from that slice.
 
     The draw is an integer hash, so the query text alone fixes it: the seed
     is mixed first, each replicate adds its index and mixes again, and each
     row adds its number and mixes again. Distinct seeds thus give unrelated
-    replicate streams rather than shifted copies of one stream.
+    replicate streams rather than shifted copies of one stream. It is
+    ``table.mix``, so the compute engine's ``resample_with_replacement``
+    draws the same rows.
     """
     by = [quote_ident(d, dialect) for d in split_by]
     by_prefix = (", ".join(by) + ", ") if by else ""
     partition = f"PARTITION BY {', '.join(by)}" if by else ""
-    kept = by + [quote_ident(c, dialect) for c in columns] + [
-        f"ROW_NUMBER() OVER ({partition}) AS row_number",
+    read = [quote_ident(c, dialect) for c in columns]
+    numbering = partition + (f" ORDER BY {', '.join(read)}" if read else "")
+    kept = by + read + [
+        f"ROW_NUMBER() OVER ({numbering.strip()}) AS row_number",
         f"COUNT(*) OVER ({partition}) AS slice_size",
     ]
     input_data = f"SELECT {', '.join(kept)} FROM {data}"
     google = dialect is Dialect.GOOGLESQL
     replicates = _mix_sql(
         f"UNNEST(GENERATE_ARRAY(1, {n_rep})) AS sample_idx" if google else "replicate_series",
-        "sample_idx", f"{_mix(seed % _STATES)} + sample_idx", "replicate_state", dialect,
+        "sample_idx", f"{mix(seed % STATES)} + sample_idx", "replicate_state", dialect,
     )
     if google:
         series = f"({replicates}) AS Replicates"
@@ -409,7 +401,7 @@ def resample_n_times_sql(
     )
     draws = (
         f"  SELECT {by_prefix}sample_idx,"
-        f" CEILING((rand + 1) / {_STATES}.0 * slice_size) AS row_number\n"
+        f" CEILING((rand + 1) / {STATES}.0 * slice_size) AS row_number\n"
         f"  FROM ({rand})"
     )
     same = _NULL_SAFE_EQ[dialect]

@@ -3,7 +3,12 @@
 Tables are immutable after construction and safe to share across threads.
 Each column has one type, decided once when the table is made, and is stored
 once, as arrays (see ``Column``). Cells are rebuilt from the arrays when asked
-for: plain Python ints, floats and strings, and None for a null.
+for: plain Python ints, floats and strings, None for a null, and one shared
+NaN object for every NaN, so NaN cells are equal as keys.
+
+Bootstrap rows are drawn with the integer hash the generated SQL computes
+(``mix``), in the row order its ``ROW_NUMBER()`` gives (``draw_order``), so
+both backends draw the same rows.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import random
+import math
 import re
 from numbers import Integral, Real
 from collections.abc import Iterable
@@ -22,6 +27,8 @@ import numpy as np
 from .errors import EmptyInput, ParseError, SchemaError, UnknownColumn
 
 Cell = int | float | str | None
+
+NAN = float("nan")
 
 INT, FLOAT, TEXT = "int", "float", "text"
 
@@ -75,10 +82,13 @@ class Column:
 
     @property
     def values(self) -> tuple[Cell, ...]:
-        """The cells, rebuilt from the arrays."""
+        """The cells, rebuilt from the arrays; every NaN is the one object ``NAN``."""
         if self.levels is not None:
             return tuple(map(self.levels.__getitem__, self.data.tolist()))
         cells = self.data.tolist()
+        if self.data.dtype == np.float64:
+            for i in np.flatnonzero(np.isnan(self.data)).tolist():
+                cells[i] = NAN
         if self.null is not None:
             for i in np.flatnonzero(self.null).tolist():
                 cells[i] = None
@@ -106,6 +116,24 @@ class Column:
     def take(self, rows: np.ndarray) -> "Column":
         null = None if self.null is None else self.null[rows]
         return Column(self.name, self.data[rows], null, self.levels)
+
+    def sql_order(self) -> list[np.ndarray]:
+        """``np.lexsort`` keys, least significant first, for sqlite's ascending order.
+
+        Nulls come first, and NaN cells with them, as sqlite stores NaN as
+        NULL; then numbers by value, or text by code point, which is sqlite's
+        BINARY order on UTF-8.
+        """
+        if self.levels is not None:
+            ranked = sorted(range(len(self.levels)),
+                            key=lambda i: (self.levels[i] is not None, self.levels[i] or ""))
+            rank = np.empty(len(ranked), dtype=np.intp)
+            rank[ranked] = np.arange(len(ranked))
+            return [rank[self.data]]
+        null = np.isnan(self.data) if self.data.dtype == np.float64 else None
+        if self.null is not None:
+            null = self.null if null is None else null | self.null
+        return [self.data] if null is None else [self.data, ~null]
 
 
 def _text(name: str, cells: list, null: str | None = None) -> Column:
@@ -284,15 +312,29 @@ def format_cell(v: Cell) -> str:
 def coerce_cell(cell: Cell, kind: str) -> Cell:
     """``cell`` as SQL's column affinity compares it with a column of ``kind``.
 
-    A number meets text as its CSV text, and a string that reads as a number
-    meets numbers as that number.
+    A number meets text as sqlite's ``CAST(cell AS TEXT)`` renders it, and a
+    string that reads as a number meets numbers as that number.
     """
     if cell is None or isinstance(cell, str) == (kind == TEXT):
         return cell
     if kind == TEXT:
-        return format_cell(cell)
+        return _real_text(cell) if isinstance(cell, float) else str(cell)
     (number,) = _typed("", [cell]).values
     return cell if number is None else number
+
+
+def _real_text(x: float) -> str:
+    """``x`` as sqlite renders a REAL as text (``%!.15g``).
+
+    That is 15 significant digits with at least one after a decimal point,
+    so 1e20 is "1.0e+20" and 3.0 is "3.0"; -0.0 is "0.0".
+    """
+    if math.isinf(x):
+        return "Inf" if x > 0 else "-Inf"
+    mantissa, e, exponent = ("%.15g" % (x + 0.0)).partition("e")  # + 0.0: -0.0 is 0.0
+    if "." not in mantissa:
+        mantissa += ".0"
+    return mantissa + e + exponent
 
 
 def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[tuple, np.ndarray]:
@@ -332,9 +374,54 @@ def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[tupl
     return dict(zip(keys, np.split(order, bounds)))
 
 
-def resample_with_replacement(table: Table, rng: random.Random) -> Table:
-    """Draw row_count rows uniformly with replacement; deterministic per rng."""
-    n = table.row_count
-    if n == 0:
+# The draw hash works on 30-bit integers, so every intermediate of a round
+# stays below 2**62: ``mix`` gives the same on Python ints, on int64 arrays and
+# in SQL's 64-bit integers (``sqlgen._mix_sql``). A round is quadratic, then
+# affine (the quadratic step breaks the lattice structure a pure LCG would
+# give); both steps, and so ``mix``, are bijections modulo 2**30.
+STATES = 1073741824
+MULTIPLIER = 1103515245
+ROUNDS = (12345, 54321)
+
+
+def mix(x):
+    """The draw hash's bijection on 0..STATES - 1, of an int or an int64 array."""
+    for c in ROUNDS:
+        x = (x * (1 + 4 * x) % STATES * MULTIPLIER + c) % STATES
+    return x
+
+
+def draw_order(table: Table, split_by, columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows as the bootstrap SQL numbers them: (rows, row_number, slice_size).
+
+    ``rows`` holds the slices of ``group_rows(table, split_by)`` one after
+    another. Within a slice, rows sort by ``columns`` in turn, each in
+    sqlite's ascending order (``Column.sql_order``), as SQL's
+    ``ROW_NUMBER() OVER (PARTITION BY split_by ORDER BY columns)``; rows that
+    tie are equal in every one of ``columns``. ``row_number`` (from 1) and
+    ``slice_size`` are each row's, as in the SQL's Data table.
+    """
+    slices = list(group_rows(table, split_by).values())
+    sizes = np.array([len(rows) for rows in slices], dtype=np.int64)
+    rows = np.concatenate(slices) if slices else np.arange(0)
+    keys = [key[rows] for name in reversed(columns) for key in table.column(name).sql_order()]
+    rows = rows[np.lexsort(keys + [np.repeat(np.arange(len(slices)), sizes)])]
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return rows, np.arange(1, len(rows) + 1, dtype=np.int64) - starts, np.repeat(sizes, sizes)
+
+
+def resample_with_replacement(table: Table, order, seed: int, replicate: int) -> Table:
+    """Replicate ``replicate`` (from 1) of the bootstrap with ``seed``, as the SQL draws it.
+
+    ``order`` is ``draw_order``'s. The replicate's state is
+    mix(mix(seed) + replicate), all modulo STATES; row j of a slice of size s
+    draws the slice's ceil((mix(state + j) + 1) / STATES * s)-th row, in
+    float64 as SQL's ``CEILING`` reads it. So each slice keeps its size.
+    """
+    rows, row_number, slice_size = order
+    if len(rows) == 0:
         raise EmptyInput("cannot resample an empty table")
-    return table.take([rng.randrange(n) for _ in range(n)])
+    state = mix((mix(seed % STATES) + replicate) % STATES)
+    rand = mix((state + row_number) % STATES)
+    drawn = np.ceil((rand + 1) / float(STATES) * slice_size).astype(np.int64)
+    return table.take(rows[np.arange(len(rows)) + drawn - row_number])

@@ -484,15 +484,17 @@ def test_output_is_byte_identical_under_any_hash_seed(tmp_path):
     path.write_bytes(DETERMINISM_CSV)
     program = ('sum(x) | percent_change(arm, "control");'
                ' mean(x) / count(x) as "per" | percent_change(arm, "control") | bootstrap(20)')
+    # Draws within each region, in the order of its text and numeric columns.
+    boot = "mean(x) | distribution(arm) | bootstrap(15)"
     src = str(Path(__file__).resolve().parent.parent / "src")
-    runs = {"csv": ["--format", "csv"], "table": ["--format", "table"],
-            "sql": ["--mode", "sql"]}
-    for mode, flags in runs.items():
+    runs = {"csv": (program, ["--format", "csv"]), "table": (program, ["--format", "table"]),
+            "sql": (program, ["--mode", "sql"]), "bootstrap": (boot, ["--format", "csv"])}
+    for mode, (metric, flags) in runs.items():
         outcomes = []
         for hash_seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
             done = subprocess.run(
-                [sys.executable, "-m", "slicemetrics", "--input", str(path), "--metric", program,
+                [sys.executable, "-m", "slicemetrics", "--input", str(path), "--metric", metric,
                  "--split-by", "region", "--seed", "3", *flags],
                 capture_output=True, env=env, timeout=60,
             )
@@ -502,5 +504,7 @@ def test_output_is_byte_identical_under_any_hash_seed(tmp_path):
         assert code == 0, err
         if mode == "sql":
             assert out.count(b" ORDER BY 1, 2") == 2 and err == b""
+        elif mode == "bootstrap":
+            assert out.startswith(b"region,arm,se_distribution_of_mean_x\n") and err == b""
         else:
             assert b"missing_baseline" in err and out.count(b"\nb ") + out.count(b"\nb,") == 2

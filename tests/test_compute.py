@@ -317,8 +317,8 @@ class TestBootstrap:
     def test_seeds_draw_different_replicate_sets(self, monkeypatch):
         draws: list[tuple] = []
 
-        def recording(table, rng):
-            replicate = resample_with_replacement(table, rng)
+        def recording(table, order, seed, i):
+            replicate = resample_with_replacement(table, order, seed, i)
             draws.append(replicate.column("x").values)
             return replicate
 
@@ -335,6 +335,14 @@ class TestBootstrap:
     def test_empty_table_raises(self):
         with pytest.raises(EmptyInput):
             compute_on(Mean("x") | Bootstrap(5), one_column([]))
+
+    def test_resamples_within_each_split_slice(self):
+        # Each replicate slice keeps its size, so its count never varies.
+        t = Table.from_dict({"g": ["a", "b", "b", "b"], "x": [7.0, 1.0, 2.0, 9.0]})
+        counts = compute_on(Count("x") | Bootstrap(30, seed=4), t, ("g",))
+        assert dict(counts.rows) == {("a",): (0.0,), ("b",): (0.0,)}
+        means = dict(compute_on(Mean("x") | Bootstrap(30, seed=4), t, ("g",)).rows)
+        assert means[("a",)] == (0.0,) and means[("b",)][0] > 0
 
     def test_baseline_rows_have_zero_se(self, fig2):
         churn = (Sum("lost") / Count("lost")).set_names(["churn"])
@@ -523,3 +531,13 @@ class TestSplitting:
         t = Table.from_dict({"g": ["b", None, "B", "a"], "x": [1, 2, 3, 4]})
         frame = compute_on([Sum("x"), Sum("x") * 2.0], t, ("g",))
         assert [key for key, _ in frame.rows] == [(None,), ("B",), ("a",), ("b",)]
+
+    def test_nan_dimension_cells_are_one_key_across_frames(self):
+        nan = math.nan
+        t = Table.from_dict({"g": [1.0, nan, nan], "x": [4, 2, 3]})
+        joint = compute_on([Sum("x"), Count("x")], t, ("g",))
+        assert len(joint.rows) == 2
+        (key, values), = [row for row in joint.rows if math.isnan(row[0][0])]
+        assert values == (5.0, 2.0)
+        ratio = dict(compute_on(Sum("x") / Count("x"), t, ("g",)).rows)
+        assert len(ratio) == 2 and ratio[key] == (2.5,)

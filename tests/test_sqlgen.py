@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -33,6 +34,7 @@ from slicemetrics.metrics import ScalarLiteral, bind, walk
 from slicemetrics.sqlgen import (
     _BOOTSTRAP_COLUMNS, resample_n_times_sql, sql_aggregate, sql_expr,
 )
+from slicemetrics.table import Column, resample_with_replacement
 
 from helpers import (
     assert_backend_equal, connect, execute_query, grid_table, load_table, random_pipeline,
@@ -543,6 +545,14 @@ class TestOneTypePerColumn:
         for baseline in ("one", ""):
             assert_backend_equal(Sum("x") | PercentChange("arm", baseline), t)
 
+    def test_float_baseline_meets_a_text_column_as_sqlite_renders_it(self):
+        # sqlite renders the REAL 1e20 as "1.0e+20", not as Python's "1e+20".
+        t = Table.from_dict({"arm": ["1e+20", "t", "1.0e+20"], "x": [1, 2, 4]})
+        metric = Sum("x") | PercentChange("arm", 1e20)
+        assert dict(compute_on(metric, t).rows) == {
+            ("1.0e+20",): (0.0,), ("1e+20",): (-75.0,), ("t",): (-50.0,)}
+        assert_backend_equal(metric, t)
+
     def test_text_in_a_value_column(self):
         t = read_csv(b"g,x\na,1\nb,oops\n")
         assert_backend_equal(Count("x"), t, ("g",))
@@ -611,3 +621,103 @@ class TestRowOrder:
         for dialect in Dialect:
             assert to_sql(metric, "d", ("g",), dialect).text.endswith(" ORDER BY 1, 2")
             assert to_sql(Sum("v"), "d", (), dialect).text == "SELECT SUM(v) AS sum_v FROM d"
+
+
+class TestBootstrapDraws:
+    # compute_on resamples within each split_by slice, with the SQL's hash and
+    # in the order its ROW_NUMBER() numbers the rows, so on tables without NaN
+    # cells (sqlite stores NaN as NULL) both backends draw the same rows.
+
+    _SPLITS = [(), ("g1",), ("g1", "g2")]
+    _TREES = [
+        Mean("x") | Bootstrap(20, seed=5),
+        Variance("x") | Bootstrap(12, seed=-8),
+        Count("x") | Distribution("arm") | Bootstrap(12, seed=3),
+        # Sum reads only w, which has no nulls: over a replicate slice whose
+        # cells are all null, compute's Sum is 0 and SQL's SUM is NULL.
+        Sum("w") | AbsoluteChange("arm", "control") | Bootstrap(15, seed=5),
+        (Mean("x") / Sum("w")) | PercentChange("period", "before") | Bootstrap(10, seed=77),
+        (Mean("x") | AbsoluteChange("arm", "control") | AbsoluteChange("period", "before")
+         | Bootstrap(8, seed=2)),
+        Count("g2") / Count("y") | Bootstrap(10, seed=12345),
+    ]
+
+    def _table(self, rng: random.Random) -> Table:
+        """TestRowOrder's table, with nulls in every column, plus w without any."""
+        t = TestRowOrder()._table(rng)
+        w = Column.from_cells("w", [rng.choice([-2, 0, 3, 11]) for _ in range(t.row_count)])
+        return Table([*t.columns, w])
+
+    @staticmethod
+    def _sql_samples(t: Table, split, boot: Bootstrap) -> dict[int, Counter]:
+        """The SQL's drawn rows of each replicate, over split plus read columns."""
+        columns = boot.draw_columns(split)
+        input_data, samples = resample_n_times_sql(
+            "d", split, boot.n_rep, PORTABLE, seed=boot.seed, columns=columns)
+        con = connect()
+        load_table(con, "d", t)
+        con.execute(f"CREATE TEMP TABLE Data AS {input_data}")
+        drawn: dict[int, Counter] = {}
+        kept = ", ".join([*split, *columns, "sample_idx"])
+        for *row, sample_idx in con.execute(f"SELECT {kept} FROM ({samples})"):
+            drawn.setdefault(sample_idx, Counter())[tuple(row)] += 1
+        con.close()
+        return drawn
+
+    @staticmethod
+    def _record(monkeypatch) -> list[Table]:
+        drawn: list[Table] = []
+
+        def recording(table, order, seed, i):
+            replicate = resample_with_replacement(table, order, seed, i)
+            drawn.append(replicate)
+            return replicate
+
+        monkeypatch.setattr("slicemetrics.compute.resample_with_replacement", recording)
+        return drawn
+
+    def test_se_values_agree_on_random_tables(self):
+        rng = random.Random(2828)
+        checked = 0
+        for _ in range(16):
+            t = self._table(rng)
+            if t.row_count == 0:
+                continue
+            for metric in self._TREES:
+                for split in self._SPLITS:
+                    assert_backend_equal(metric, t, split, tol=1e-9)
+                    frame = compute_on(metric, t, split)
+                    checked += sum(v > 0 for _, (v,) in frame.rows)
+        assert checked > 500
+
+    def test_each_replicate_draws_the_rows_of_its_sql_sample(self, monkeypatch):
+        drawn = self._record(monkeypatch)
+        rng = random.Random(2929)
+        for _ in range(40):
+            t = self._table(rng)
+            if t.row_count == 0:
+                continue
+            boot = rng.choice(self._TREES)
+            split = rng.choice(self._SPLITS)
+            drawn.clear()
+            compute_on(boot, t, split)
+            kept = [*split, *boot.draw_columns(split)]
+            want = {i: Counter(zip(*(r.column(c).values for c in kept)))
+                    for i, r in enumerate(drawn, start=1)}
+            assert self._sql_samples(t, split, boot) == want, (boot, split)
+
+    def test_replicates_are_a_prefix_of_a_longer_run(self, monkeypatch):
+        drawn = self._record(monkeypatch)
+        t = self._table(random.Random(37))
+        assert t.row_count > 20
+        runs = []
+        for n_rep in (5, 9):
+            boot = Mean("x") | AbsoluteChange("arm", "control") | Bootstrap(n_rep, seed=-4)
+            drawn.clear()
+            compute_on(boot, t, ("g1",))
+            sql = self._sql_samples(t, ("g1",), boot)
+            runs.append(([list(r.rows()) for r in drawn], [sql[i] for i in sorted(sql)]))
+        (compute_5, sql_5), (compute_9, sql_9) = runs
+        assert len(compute_9) == len(sql_9) == 9
+        assert compute_5 == compute_9[:5] and sql_5 == sql_9[:5]
+        assert len({repr(rows) for rows in compute_9}) == 9

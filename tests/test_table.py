@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
+import sqlite3
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from slicemetrics import (
@@ -19,8 +22,12 @@ from slicemetrics.table import (
     FLOAT,
     INT,
     TEXT,
+    STATES,
     Column,
+    coerce_cell,
+    draw_order,
     group_rows,
+    mix,
     resample_with_replacement,
     write_csv,
 )
@@ -331,27 +338,95 @@ class TestCsvRoundTrip:
 class TestResample:
     def test_single_row_table(self):
         t = Table.from_dict({"x": [42]})
-        out = resample_with_replacement(t, random.Random(0))
+        out = resample_with_replacement(t, draw_order(t, (), ()), 0, 1)
         assert list(out.rows()) == [(42,)]
 
     def test_deterministic_given_seed(self, fig2):
-        a = resample_with_replacement(fig2, random.Random(99))
-        b = resample_with_replacement(fig2, random.Random(99))
+        order = draw_order(fig2, (), ())
+        a = resample_with_replacement(fig2, order, 99, 1)
+        b = resample_with_replacement(fig2, order, 99, 1)
         assert list(a.rows()) == list(b.rows())
 
     def test_empty_table(self):
+        t = Table.from_dict({"x": []})
         with pytest.raises(EmptyInput):
-            resample_with_replacement(Table.from_dict({"x": []}), random.Random(0))
+            resample_with_replacement(t, draw_order(t, (), ()), 0, 1)
 
     def test_uniform_position_frequency(self):
         # Monte Carlo: row 0 should land in position 0 about half the time.
         t = Table.from_dict({"x": [0, 1]})
+        order = draw_order(t, (), ())
         hits = 0
         for i in range(10_000):
-            out = resample_with_replacement(t, random.Random(i))
+            out = resample_with_replacement(t, order, i, 1)
             hits += out.row(0) == (0,)
         assert abs(hits / 10_000 - 0.5) <= 0.02
 
     def test_row_count_preserved(self, fig2):
-        out = resample_with_replacement(fig2, random.Random(5))
+        out = resample_with_replacement(fig2, draw_order(fig2, (), ()), 5, 1)
         assert out.row_count == fig2.row_count
+
+    def test_each_slice_keeps_its_size_and_its_rows(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            t = random_table(rng, null_rate=0.2)
+            order = draw_order(t, ("g1", "g2"), ("x",))
+            out = resample_with_replacement(t, order, rng.randint(-99, 99), rng.randint(1, 9))
+            rows = Counter((g1, g2) for g1, g2, *_ in t.rows())
+            assert Counter((g1, g2) for g1, g2, *_ in out.rows()) == rows
+            assert set(out.rows()) <= set(t.rows())
+
+    def test_mix_is_one_function_on_ints_and_int64_arrays(self):
+        rng = random.Random(30)
+        xs = [0, 1, STATES - 1] + [rng.randrange(STATES) for _ in range(1000)]
+        mixed = mix(np.array(xs, dtype=np.int64))
+        assert mixed.dtype == np.int64
+        assert mixed.tolist() == [mix(x) for x in xs]
+        assert len(set(mixed.tolist())) == len(xs)  # a bijection keeps them distinct
+        assert all(0 <= y < STATES for y in mixed.tolist())
+
+
+class TestDrawOrder:
+    # The rows as the bootstrap SQL's ROW_NUMBER() numbers them: slice by
+    # slice, and within a slice by the read columns in sqlite's order.
+
+    def test_text_sorts_nulls_first_then_by_code_point(self):
+        t = Table.from_dict({"s": ["b", None, "B", "é", "", "a", None, "Z"]})
+        rows, row_number, slice_size = draw_order(t, (), ("s",))
+        assert [t.column("s").values[i] for i in rows] == [
+            None, None, "", "B", "Z", "a", "b", "é"]
+        assert row_number.tolist() == list(range(1, 9)) and slice_size.tolist() == [8] * 8
+
+    def test_numbers_sort_by_value_with_nan_among_the_nulls(self):
+        nan = float("nan")
+        t = Table.from_dict({"x": [2.5, None, -1.0, nan, 10.0, -0.5]})
+        rows, _, _ = draw_order(t, (), ("x",))
+        assert rows[:2].tolist() in ([1, 3], [3, 1])
+        assert rows[2:].tolist() == [2, 5, 0, 4]
+
+    def test_later_columns_break_ties_within_each_slice(self):
+        t = Table.from_dict({
+            "g": ["p", "q", "p", "p", "q", "p"],
+            "a": [2, 1, 1, 2, None, 1],
+            "b": ["y", "x", "z", "x", "w", "a"],
+        })
+        rows, row_number, slice_size = draw_order(t, ("g",), ("a", "b"))
+        assert rows.tolist() == [5, 2, 3, 0, 4, 1]
+        assert row_number.tolist() == [1, 2, 3, 4, 1, 2]
+        assert slice_size.tolist() == [4, 4, 4, 4, 2, 2]
+
+
+class TestCoerceCell:
+    @pytest.mark.parametrize("number, text", [
+        (1e20, "1.0e+20"), (1 / 3, "0.333333333333333"), (3.0, "3.0"), (1e15, "1.0e+15"),
+        (1.5e-07, "1.5e-07"), (-0.0, "0.0"), (123456.5, "123456.5"), (math.inf, "Inf"),
+        (-math.inf, "-Inf"), (7, "7"),
+    ])
+    def test_a_number_meets_text_as_sqlite_renders_it(self, number, text):
+        con = sqlite3.connect(":memory:")
+        assert con.execute("SELECT CAST(? AS TEXT)", (number,)).fetchone() == (text,)
+        assert coerce_cell(number, TEXT) == text
+
+    def test_numeric_text_meets_numbers_as_that_number(self):
+        assert coerce_cell("1.0", INT) == 1.0 and coerce_cell("2", FLOAT) == 2
+        assert coerce_cell("one", INT) == "one"
