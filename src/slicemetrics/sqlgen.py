@@ -1,12 +1,14 @@
 """Compile metric trees to SQL.
 
 Every query selects its key columns and the metric's one value column.
-Simple metrics become a single aggregation query. Operations wrap their
-child's query in CTEs: a distribution divides by a window sum, changes join
-the child against a baseline selection, and bootstrap numbers the rows of
-each slice once in a temp table (the preamble), ordered by the columns the
-child reads, draws rows per replicate by joining seeded row numbers back to
-it, and aggregates the finite per-replicate results with STDDEV.
+Simple metrics become a single aggregation query. An operation makes its
+child's query a CTE of the statement's one ``WITH`` list: a distribution
+divides by a window sum, changes join the child against a baseline
+selection, and bootstrap numbers the rows of each slice once in a temp
+table (the preamble), ordered by the columns the child reads, draws rows
+per replicate by joining seeded row numbers back to it, and aggregates the
+finite per-replicate results with STDDEV. CTE names never equal the source
+table's, so any source name compiles.
 
 Division follows IEEE, as in the compute engine: x/0 is +-inf and 0/0 is
 NULL (NaN). Two dialects are supported. ``portable`` targets engines like
@@ -22,6 +24,7 @@ on sqlite a replicate draws the rows ``compute_on`` draws.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 
@@ -70,11 +73,18 @@ def quote_ident(name: str, dialect: Dialect) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
+# sqlite reads this literal as inf, and 0 * inf as NULL.
+_INF = "9e999"
+
+
 def literal(value: Cell, dialect: Dialect) -> str:
-    if value is None:
+    if value is None or value != value:  # NaN is NULL: it equals no cell
         return "NULL"
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
+    if isinstance(value, float) and math.isinf(value):
+        inf = _INF if dialect is Dialect.PORTABLE else "CAST('inf' AS FLOAT64)"
+        return inf if value > 0 else f"-{inf}"
     return format_cell(value)
 
 
@@ -110,10 +120,6 @@ def _wrap(expr: str, node: m.Metric) -> str:
 def _name(metric: m.Metric, dialect: Dialect) -> str:
     """The quoted column name of the metric's one value."""
     return quote_ident(metric.names()[0], dialect)
-
-
-# sqlite reads this literal as inf, and 0 * inf as NULL.
-_INF = "9e999"
 
 
 def _arith_sql(op: str, left: str, right: str, dialect: Dialect) -> str:
@@ -154,6 +160,40 @@ def sql_aggregate(metric: m.Metric, data: str, dims: list[str] | tuple[str, ...]
     return query
 
 
+class _Statement:
+    """One statement's CTEs, each after those it reads, and its preamble.
+
+    A CTE takes its role's name, or the first free ``role2``, ``role3``, ...
+    where an earlier CTE, the source table (quotes stripped) or the temp
+    table ``Data`` has that name in any case.
+    """
+
+    def __init__(self, source: str):
+        self.ctes: list[str] = []
+        self.preamble: list[str] = []
+        self.recursive = False
+        self._taken = {source.strip('"`').lower(), "data"}
+
+    def name(self, role: str) -> str:
+        name, i = role, 1
+        while name.lower() in self._taken:
+            i += 1
+            name = f"{role}{i}"
+        self._taken.add(name.lower())
+        return name
+
+    def add(self, role: str, query: str) -> str:
+        """Append ``query`` as a CTE for ``role``; return the name it got."""
+        name = self.name(role)
+        self.ctes.append(f"{name} AS ({query})")
+        return name
+
+    def text(self, query: str) -> str:
+        """``query`` under one WITH list of every CTE."""
+        ctes = ",\n".join(self.ctes)
+        return f"WITH {'RECURSIVE ' * self.recursive}{ctes}\n{query}" if ctes else query
+
+
 def to_sql(
     metric: m.Metric,
     data: str,
@@ -165,123 +205,99 @@ def to_sql(
     The query's key columns are those of ``compute_on``: split_by followed by
     the operation-introduced dimensions, outermost first. It selects them
     first and ends with ``ORDER BY`` over their positions, so its rows come in
-    ``compute_on``'s order. Bootstrap adds a
-    temp-table statement to the preamble; Jackknife has no SQL form. A table
-    named like a CTE that encloses its reads (``T``, or ``Base`` under a
-    change, in any case) raises ``UnsupportedInDialect``.
+    ``compute_on``'s order. Its text is at most one ``WITH`` list, whose CTE
+    names are unique and differ from ``data``, followed by the final SELECT.
+    Bootstrap adds the statements that fill the temp table ``Data`` to the
+    preamble; Jackknife has no SQL form.
     """
     split_by = tuple(split_by)
     key_columns = m.bind(metric, split_by)
-    text, preamble = _node_to_sql(metric, data, split_by, dialect)
+    stmt = _Statement(data)
+    text = stmt.text(_node_to_sql(metric, data, split_by, dialect, stmt))
     if key_columns:  # by position: under a change, a bare key name is ambiguous
         text += " ORDER BY " + ", ".join(str(i + 1) for i in range(len(key_columns)))
-    return SqlQuery(
-        text=text,
-        key_columns=key_columns,
-        value_columns=metric.names(),
-        preamble=tuple(preamble),
-    )
+    return SqlQuery(text, key_columns, metric.names(), tuple(stmt.preamble))
 
 
-def _node_to_sql(metric: m.Metric, data: str, split_by: tuple[str, ...], dialect: Dialect):
+def _node_to_sql(metric: m.Metric, data: str, split_by: tuple[str, ...], dialect: Dialect,
+                 stmt: _Statement) -> str:
+    """The SELECT of ``metric`` over ``data``; its CTEs go to ``stmt``."""
     if isinstance(metric, m.Jackknife):
         raise UnsupportedInDialect("jackknife has no SQL generation; use the compute engine")
     if isinstance(metric, m.Distribution):
-        return _distribution_sql(metric, data, split_by, dialect)
+        return _distribution_sql(metric, data, split_by, dialect, stmt)
     if isinstance(metric, m._ChangeOperation):
-        return _change_sql(metric, data, split_by, dialect)
+        return _change_sql(metric, data, split_by, dialect, stmt)
     if isinstance(metric, m.Bootstrap):
-        return _bootstrap_sql(metric, data, split_by, dialect)
+        return _bootstrap_sql(metric, data, split_by, dialect, stmt)
     if isinstance(metric, m.Operation):
         raise UnsupportedInDialect(f"no SQL generation for {type(metric).__name__}")
-    return sql_aggregate(metric, data, split_by, dialect), []
+    return sql_aggregate(metric, data, split_by, dialect)
 
 
-def _check_source(data: str, *ctes: str):
-    """Raise if a CTE named in ``ctes`` would shadow the source table ``data``."""
-    if data.strip('"`').lower() in (cte.lower() for cte in ctes):
-        raise UnsupportedInDialect(
-            f"the table name {data!r} is a CTE of the generated SQL; rename the table"
-        )
-
-
-def _distribution_sql(node: m.Distribution, data, split_by, dialect):
-    _check_source(data, "T")
-    child_text, preamble = _node_to_sql(node.child, data, split_by + (node.over,), dialect)
+def _distribution_sql(node: m.Distribution, data, split_by, dialect, stmt):
+    t = stmt.add("T", _node_to_sql(node.child, data, split_by + (node.over,), dialect, stmt))
     dims = split_by + node.extra_dims()
     partition = [quote_ident(d, dialect) for d in dims if d != node.over]
     over = f"PARTITION BY {', '.join(partition)}" if partition else ""
     value = _name(node.child, dialect)
     share = _arith_sql("div", value, f"SUM({value}) OVER ({over})", dialect)
     cols = [quote_ident(d, dialect) for d in dims] + [f"{share} AS {_name(node, dialect)}"]
-    text = f"WITH T AS ({child_text})\nSELECT {', '.join(cols)} FROM T"
-    return text, preamble
+    return f"SELECT {', '.join(cols)} FROM {t}"
 
 
-def _change_sql(node: m._ChangeOperation, data, split_by, dialect):
-    _check_source(data, "T", "Base")
-    child_text, preamble = _node_to_sql(node.child, data, split_by + (node.condition,), dialect)
+def _change_sql(node: m._ChangeOperation, data, split_by, dialect, stmt):
+    child = _node_to_sql(node.child, data, split_by + (node.condition,), dialect, stmt)
+    t = stmt.add("T", child)
     dims = split_by + node.extra_dims()
     join_dims = [d for d in dims if d != node.condition]
     condition = quote_ident(node.condition, dialect)
-    if node.baseline is None:
-        is_baseline = "IS NULL"
-    else:
-        is_baseline = f"= {literal(node.baseline, dialect)}"
+    is_baseline = "IS NULL" if node.baseline is None else f"= {literal(node.baseline, dialect)}"
     value = _name(node.child, dialect)
     quoted = [quote_ident(d, dialect) for d in join_dims]
-    if dialect is Dialect.GOOGLESQL:
-        base_cols = f"* EXCEPT ({condition})"
-    else:
-        base_cols = ", ".join(quoted + [value])
+    google = dialect is Dialect.GOOGLESQL
+    base_cols = f"* EXCEPT ({condition})" if google else ", ".join(quoted + [value])
+    base = stmt.add("Base", f"SELECT {base_cols} FROM {t} WHERE {condition} {is_baseline}")
     # Null-safe, and a slice without a baseline row stays (with NULL values).
     same = _NULL_SAFE_EQ[dialect]
-    on = " AND ".join(f"T.{q} {same} Base.{q}" for q in quoted) or "TRUE"
+    on = " AND ".join(f"{t}.{q} {same} {base}.{q}" for q in quoted) or "TRUE"
     if isinstance(node, m.PercentChange):
-        change = f"({_arith_sql('div', f'T.{value}', f'Base.{value}', dialect)} - 1) * 100"
+        change = f"({_arith_sql('div', f'{t}.{value}', f'{base}.{value}', dialect)} - 1) * 100"
     else:
-        change = f"T.{value} - Base.{value}"
+        change = f"{t}.{value} - {base}.{value}"
     # Baseline rows are 0, as in the compute engine, even where their value is not finite.
-    change = f"CASE WHEN T.{condition} {is_baseline} THEN 0.0 ELSE {change} END"
-    cols = [f"T.{quote_ident(d, dialect)}" for d in dims] + [f"{change} AS {_name(node, dialect)}"]
-    text = (
-        f"WITH T AS ({child_text}),\n"
-        f"Base AS (SELECT {base_cols} FROM T WHERE {condition} {is_baseline})\n"
-        f"SELECT {', '.join(cols)} FROM T LEFT JOIN Base ON {on}"
-    )
-    return text, preamble
+    change = f"CASE WHEN {t}.{condition} {is_baseline} THEN 0.0 ELSE {change} END"
+    cols = [f"{t}.{quote_ident(d, dialect)}" for d in dims]
+    cols.append(f"{change} AS {_name(node, dialect)}")
+    return f"SELECT {', '.join(cols)} FROM {t} LEFT JOIN {base} ON {on}"
 
 
-def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect):
+def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect, stmt):
     child = node.child
     if any(isinstance(n, m.Bootstrap) for n in m.walk(child)):
         raise NestedBootstrap("Bootstrap cannot contain another Bootstrap in SQL generation")
     columns = node.draw_columns(split_by)
     _check_bootstrap_names(child, split_by, columns)
-    input_data, samples = resample_n_times_sql(
-        data, split_by, node.n_rep, dialect, seed=node.seed, columns=columns
-    )
-    child_text, child_preamble = _node_to_sql(
-        child, "Samples", split_by + ("sample_idx",), dialect
-    )
+    numbered, samples = _resample_sql(stmt, data, split_by, node.n_rep, dialect, node.seed, columns)
+    # Both replace an earlier statement's Data; ``temp.`` spares a main table Data.
     if dialect is Dialect.GOOGLESQL:
-        create = f"CREATE TEMP TABLE Data AS ({input_data})"
+        stmt.preamble.append(f"CREATE OR REPLACE TEMP TABLE Data AS ({numbered})")
     else:
-        create = f"CREATE TEMP TABLE Data AS {input_data}"
+        stmt.preamble += ["DROP TABLE IF EXISTS temp.Data", f"CREATE TEMP TABLE Data AS {numbered}"]
+    samples = stmt.add("Samples", samples)
+    child_text = _node_to_sql(child, samples, split_by + ("sample_idx",), dialect, stmt)
+    sample_res = stmt.add("SampleRes", child_text)
     dims = split_by + node.extra_dims()
     quoted = [quote_ident(d, dialect) for d in dims]
     # Only finite replicate values count, as in the compute engine.
     value = _name(child, dialect)
-    if dialect is Dialect.GOOGLESQL:
-        finite = f"NOT IS_INF({value}) AND NOT IS_NAN({value})"
-    else:
-        finite = f"ABS({value}) < {_INF}"
+    google = dialect is Dialect.GOOGLESQL
+    finite = f"NOT IS_INF({value}) AND NOT IS_NAN({value})" if google else f"ABS({value}) < {_INF}"
     cols = quoted + [f"STDDEV(CASE WHEN {finite} THEN {value} END) AS {_name(node, dialect)}"]
-    final = f"SELECT {', '.join(cols)} FROM SampleRes"
+    final = f"SELECT {', '.join(cols)} FROM {sample_res}"
     if quoted:
         final += f" GROUP BY {', '.join(quoted)}"
-    text = f"WITH Samples AS ({samples}),\nSampleRes AS ({child_text})\n{final}"
-    return text, list(child_preamble) + [create]
+    return final
 
 
 def _check_bootstrap_names(child: m.Metric, split_by, columns):
@@ -302,6 +318,13 @@ def _check_bootstrap_names(child: m.Metric, split_by, columns):
         )
 
 
+# The columns the bootstrap SQL adds beside the input's: Data numbers each
+# slice's rows, Samples adds the replicate index, and the replicate series
+# carries each replicate's draw state.
+_SAMPLE_COLUMNS = ("row_number", "slice_size", "sample_idx")
+_BOOTSTRAP_COLUMNS = frozenset(_SAMPLE_COLUMNS + ("replicate_state",))
+
+
 def _mod(a: str, dialect: Dialect) -> str:
     """a modulo 2**30 (GoogleSQL has no % operator)."""
     if dialect is Dialect.GOOGLESQL:
@@ -309,44 +332,17 @@ def _mod(a: str, dialect: Dialect) -> str:
     return f"(({a}) % {STATES})"
 
 
-def _mix_names(name: str) -> tuple[str, ...]:
-    """The columns ``_mix_sql`` makes: one per round's input, then ``name``."""
-    return tuple(f"{name}_{i}" for i in range(len(ROUNDS))) + (name,)
+def _mix_sql(x: str, dialect: Dialect) -> str:
+    """``table.mix`` of x modulo 2**30 as one expression; x appears 2**len(ROUNDS) times."""
+    for c in ROUNDS:
+        x = _mod(x, dialect)
+        x = f"{_mod(f'{x} * (1 + 4 * {x})', dialect)} * {MULTIPLIER} + {c}"
+    return _mod(x, dialect)
 
 
-# The columns the bootstrap SQL adds beside the input's: Data numbers each
-# slice's rows, Samples adds the replicate index, and the draw hash names
-# each level of the replicate's and the row's state.
-_SAMPLE_COLUMNS = ("row_number", "slice_size", "sample_idx")
-_BOOTSTRAP_COLUMNS = frozenset(
-    _SAMPLE_COLUMNS + _mix_names("replicate_state") + _mix_names("rand")
-)
-
-
-def _mix_sql(source: str, keep: str, x: str, name: str, dialect: Dialect) -> str:
-    """SELECT keep, mix(x) AS name FROM source, with ``table.mix``'s rounds.
-
-    Each round reads its input twice, so every round is its own subquery
-    and the text stays linear in the number of rounds.
-    """
-    names = _mix_names(name)
-    query = f"SELECT {keep}, {_mod(x, dialect)} AS {names[0]} FROM {source}"
-    for c, arg, out in zip(ROUNDS, names, names[1:]):
-        quadratic = _mod(f"{arg} * (1 + 4 * {arg})", dialect)
-        mixed = _mod(f"{quadratic} * {MULTIPLIER} + {c}", dialect)
-        query = f"SELECT {keep}, {mixed} AS {out}\n  FROM ({query})"
-    return query
-
-
-def resample_n_times_sql(
-    data: str,
-    split_by: list[str] | tuple[str, ...],
-    n_rep: int,
-    dialect: Dialect,
-    seed: int = 0,
-    *,
-    columns: list[str] | tuple[str, ...],
-) -> tuple[str, str]:
+def resample_n_times_sql(data: str, split_by: list[str] | tuple[str, ...], n_rep: int,
+                         dialect: Dialect, seed: int = 0, *,
+                         columns: list[str] | tuple[str, ...]) -> tuple[str, str]:
     """SQL for bootstrap resampling: (numbered input, realized samples).
 
     The input query keeps ``split_by`` plus ``columns`` and numbers the rows
@@ -354,11 +350,11 @@ def resample_n_times_sql(
     to the slice's size; it is materialized as the temp table Data. Rows
     that tie are equal in every kept column, so the numbering fixes the draw
     up to interchangeable rows; ``table.draw_order`` numbers them the same.
-    The samples query crosses Data with the replicate series in a Draws
-    subquery that keeps only the slice keys, ``sample_idx`` and a drawn row
-    number, then joins the draws back to Data on the keys (null-safe) and the
-    row number. So replicate i of a slice holds slice_size rows drawn with
-    replacement from that slice.
+    The samples query crosses Data with the CTE ``Replicates(sample_idx,
+    replicate_state)`` in a Draws subquery that keeps only the slice keys,
+    ``sample_idx`` and a drawn row number, then joins the draws back to Data
+    on the keys (null-safe) and the row number. So replicate i of a slice
+    holds slice_size rows drawn with replacement from that slice.
 
     The draw is an integer hash, so the query text alone fixes it: the seed
     is mixed first, each replicate adds its index and mixes again, and each
@@ -367,48 +363,48 @@ def resample_n_times_sql(
     ``table.mix``, so the compute engine's ``resample_with_replacement``
     draws the same rows.
     """
+    stmt = _Statement(data)
+    input_data, samples = _resample_sql(stmt, data, split_by, n_rep, dialect, seed, columns)
+    return input_data, stmt.text(samples)
+
+
+def _resample_sql(stmt: _Statement, data, split_by, n_rep, dialect, seed, columns):
+    """``resample_n_times_sql``'s pair, its CTE added to ``stmt``."""
     by = [quote_ident(d, dialect) for d in split_by]
     by_prefix = (", ".join(by) + ", ") if by else ""
     partition = f"PARTITION BY {', '.join(by)}" if by else ""
     read = [quote_ident(c, dialect) for c in columns]
     numbering = partition + (f" ORDER BY {', '.join(read)}" if read else "")
+    # slice_size first: then sqlite sorts the rows once for both windows.
     kept = by + read + [
-        f"ROW_NUMBER() OVER ({numbering.strip()}) AS row_number",
         f"COUNT(*) OVER ({partition}) AS slice_size",
+        f"ROW_NUMBER() OVER ({numbering.strip()}) AS row_number",
     ]
     input_data = f"SELECT {', '.join(kept)} FROM {data}"
-    google = dialect is Dialect.GOOGLESQL
-    replicates = _mix_sql(
-        f"UNNEST(GENERATE_ARRAY(1, {n_rep})) AS sample_idx" if google else "replicate_series",
-        "sample_idx", f"{mix(seed % STATES)} + sample_idx", "replicate_state", dialect,
-    )
-    if google:
-        series = f"({replicates}) AS Replicates"
+    mixed_seed = mix(seed % STATES)
+    if dialect is Dialect.GOOGLESQL:
+        replicates = stmt.add("Replicates", (
+            f"SELECT sample_idx, {_mix_sql(f'{mixed_seed} + sample_idx', dialect)}"
+            f" AS replicate_state FROM UNNEST(GENERATE_ARRAY(1, {n_rep})) AS sample_idx"
+        ))
     else:
-        # The LIMIT changes no row: it keeps sqlite from inlining the
-        # per-replicate hash into the per-row one, which would recompute it
-        # for every row.
-        series = (
-            "(WITH RECURSIVE replicate_series(sample_idx) AS ("
-            "SELECT 1 UNION ALL SELECT sample_idx + 1 FROM replicate_series"
-            f" WHERE sample_idx < {n_rep})\n  {replicates} LIMIT {n_rep}) AS Replicates"
+        # A recursive CTE is computed once, not again for every row that reads it.
+        replicates = stmt.name("Replicates")
+        stmt.recursive = True
+        stmt.ctes.append(
+            f"{replicates}(sample_idx, replicate_state) AS ("
+            f"SELECT 1, {mix((mixed_seed + 1) % STATES)}\n  UNION ALL SELECT sample_idx + 1,"
+            f" {_mix_sql(f'{mixed_seed + 1} + sample_idx', dialect)}"
+            f" FROM {replicates} WHERE sample_idx < {n_rep})"
         )
     # The row's hash is uniform on 0..2**30 - 1, so CEILING lands in 1..slice_size.
-    rand = _mix_sql(
-        f"Data CROSS JOIN {series}",
-        f"{by_prefix}sample_idx, slice_size",
-        "Replicates.replicate_state + Data.row_number", "rand", dialect,
-    )
-    draws = (
-        f"  SELECT {by_prefix}sample_idx,"
-        f" CEILING((rand + 1) / {STATES}.0 * slice_size) AS row_number\n"
-        f"  FROM ({rand})"
-    )
+    rand = _mix_sql(f"{replicates}.replicate_state + Data.row_number", dialect)
     same = _NULL_SAFE_EQ[dialect]
     on = [f"Draws.{q} {same} Data.{q}" for q in by] + ["Draws.row_number = Data.row_number"]
-    samples = (
-        "SELECT Data.*, Draws.sample_idx\n"
-        f"FROM (\n{draws}) AS Draws\n"
+    return input_data, (
+        "SELECT Data.*, Draws.sample_idx\nFROM (\n"
+        f"  SELECT {by_prefix}sample_idx,"
+        f" CEILING(({rand} + 1) / {STATES}.0 * slice_size) AS row_number\n"
+        f"  FROM Data CROSS JOIN {replicates}) AS Draws\n"
         f"JOIN Data ON {' AND '.join(on)}"
     )
-    return input_data, samples

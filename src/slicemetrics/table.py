@@ -313,9 +313,10 @@ def coerce_cell(cell: Cell, kind: str) -> Cell:
     """``cell`` as SQL's column affinity compares it with a column of ``kind``.
 
     A number meets text as sqlite's ``CAST(cell AS TEXT)`` renders it, and a
-    string that reads as a number meets numbers as that number.
+    string that reads as a number meets numbers as that number. NaN stays
+    NaN, which equals no cell, as SQL's NULL baseline matches no row.
     """
-    if cell is None or isinstance(cell, str) == (kind == TEXT):
+    if cell is None or cell != cell or isinstance(cell, str) == (kind == TEXT):
         return cell
     if kind == TEXT:
         return _real_text(cell) if isinstance(cell, float) else str(cell)

@@ -88,14 +88,17 @@ def values_close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol
 
 
-def assert_backend_equal(metric, table: Table, split_by=(), tol=1e-9):
-    """compute_on and executed portable SQL must agree key for key, in one row order."""
+def assert_backend_equal(metric, table: Table, split_by=(), tol=1e-9, source="d"):
+    """compute_on and executed portable SQL must agree key for key, in one row order.
+
+    The SQL reads ``table`` under the name ``source`` (which may be quoted).
+    """
     from slicemetrics import Dialect, compute_on, to_sql
 
     frame = compute_on(metric, table, split_by)
-    query = to_sql(metric, "d", split_by, Dialect.PORTABLE)
+    query = to_sql(metric, source, split_by, Dialect.PORTABLE)
     assert query.key_columns == frame.key_columns
-    got = execute_query(query, {"d": table})
+    got = execute_query(query, {source.strip('"'): table})
     want = dict(frame.rows)
     assert set(got) == set(want), (
         f"key sets differ:\n sql={sorted(got)}\n compute={sorted(want)}"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 import os
 import random
 import subprocess
@@ -17,13 +18,37 @@ from slicemetrics.cli import main
 from slicemetrics.dsl import set_n_rep
 from slicemetrics.metrics import bind
 
-from helpers import FIG2_CSV, random_pipeline
+from helpers import FIG2_CSV, connect, load_table, random_pipeline, values_close
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_sql_mode_agrees(capsys, path, program, split_by=""):
+    """Run sql mode's statements in order in one sqlite session; each agrees with compute_on."""
+    code, out, err = run_cli(capsys, "--input", str(path), "--metric", program,
+                             "--split-by", split_by, "--mode", "sql")
+    assert (code, err) == (0, "")
+    table = read_csv(path.read_bytes())
+    split = tuple(c for c in split_by.split(",") if c)
+    con = connect()
+    load_table(con, path.stem, table)
+    scripts = out.rstrip("\n").split(";\n\n")
+    metrics = parse(program).metrics
+    assert len(scripts) == len(metrics)
+    for metric, script in zip(metrics, scripts):
+        *preamble, final = script.split(";\n")
+        for statement in preamble:
+            con.execute(statement)
+        rows = con.execute(final).fetchall()
+        frame = compute_on(metric, table, split)
+        assert [tuple(row[:-1]) for row in rows] == [key for key, _ in frame.rows]
+        for row, (_, (value,)) in zip(rows, frame.rows):
+            assert values_close(math.nan if row[-1] is None else row[-1], value, 1e-9)
+    con.close()
 
 
 class TestComputeMode:
@@ -127,8 +152,7 @@ class TestSqlMode:
             "--mode", "sql",
         )
         assert code == 0
-        assert out.startswith("CREATE TEMP TABLE Data AS")
-        assert ";\n" in out
+        assert out.startswith("DROP TABLE IF EXISTS temp.Data;\nCREATE TEMP TABLE Data AS")
 
     def test_googlesql_dialect_and_n_rep_override(self, capsys, fig2_csv_path):
         code, out, _ = run_cli(
@@ -143,12 +167,11 @@ class TestSqlMode:
         assert "UNNEST(GENERATE_ARRAY(1, 77))" in out
 
     @pytest.mark.parametrize("csv, metric, split_by, name", [
-        (b"rand,x\na,1\na,2\nb,4\n", "mean(x) | bootstrap(5)", "rand", "rand"),
         (b"g,row_number\na,1\na,2\nb,4\n", "mean(row_number) | bootstrap(5)", "g",
          "row_number"),
         (b"g,sample_idx\na,1\na,2\nb,4\n", "mean(sample_idx) | bootstrap(5)", "g",
          "sample_idx"),
-    ], ids=["split_rand", "read_row_number", "read_sample_idx"])
+    ], ids=["read_row_number", "read_sample_idx"])
     def test_bootstrap_rejects_its_own_column_names(self, capsys, tmp_path, csv, metric,
                                                     split_by, name):
         path = tmp_path / "events.csv"
@@ -158,14 +181,23 @@ class TestSqlMode:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and repr(name) in err
 
+    def test_split_column_named_rand_runs(self, capsys, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"rand,x\na,1\na,2\nb,4\nb,7\n")
+        assert_sql_mode_agrees(capsys, path, "mean(x) | bootstrap(5)", "rand")
+
     @pytest.mark.parametrize("stem", ["t", "base"])
-    def test_input_named_like_a_cte_is_user_error(self, capsys, tmp_path, stem):
+    def test_input_named_like_a_cte_runs_and_agrees(self, capsys, tmp_path, stem):
         path = tmp_path / f"{stem}.csv"
         path.write_bytes(b"g,x\na,1\nb,2\n")
-        code, out, err = run_cli(capsys, "--input", str(path), "--mode", "sql",
-                                 "--metric", 'sum(x) | percent_change(g, "a")')
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and repr(stem) in err and err.count("\n") == 1
+        assert_sql_mode_agrees(capsys, path, 'sum(x) | percent_change(g, "a")')
+
+    def test_two_bootstraps_run_in_one_session(self, capsys, tmp_path):
+        # Each statement's preamble replaces the temp table Data of the last.
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"g,x\na,1\na,2\nb,4\nb,7\na,3\n")
+        assert_sql_mode_agrees(capsys, path, "mean(x) | bootstrap(5); sum(x) | bootstrap(5)")
+        assert_sql_mode_agrees(capsys, path, "mean(x) | bootstrap(5); sum(x) | bootstrap(7)", "g")
 
     def test_multiple_metrics_emit_multiple_queries(self, capsys):
         code, out, _ = run_cli(

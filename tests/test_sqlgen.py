@@ -39,6 +39,7 @@ from slicemetrics.table import Column, resample_with_replacement
 from helpers import (
     assert_backend_equal, connect, execute_query, grid_table, load_table, random_pipeline,
 )
+from test_acceptance import GOLDEN_TREES
 
 GOOGLE = Dialect.GOOGLESQL
 PORTABLE = Dialect.PORTABLE
@@ -126,6 +127,17 @@ def _top_level_select_clause(text: str) -> str:
     raise AssertionError(f"no top-level SELECT in:\n{text}")
 
 
+_CTE_METRICS = [
+    Sum("x") | Distribution("h"),
+    Sum("x") | PercentChange("g", "a"),
+    Sum("x") | Distribution("h") | AbsoluteChange("g", "a"),
+    Sum("x") | PercentChange("g", "a") | Bootstrap(4, seed=2),
+]
+_CTE_SOURCES = ["t", "T", '"t"', "base", "BASE", "Samples", "SampleRes", "Replicates", "Draws"]
+# Every metric against every source, these pairs first.
+_CTE_LEAD = [(0, "t"), (0, "T"), (0, '"t"'), (1, "t"), (1, "base"), (2, "BASE")]
+
+
 class TestToSql:
     def test_leaf_query_executes_and_matches(self, mixed):
         assert_backend_equal(Sum("v"), mixed, ("g",))
@@ -194,18 +206,17 @@ class TestToSql:
             to_sql(inner | Bootstrap(5), "d", (), PORTABLE)
 
     @pytest.mark.parametrize("metric, source", [
-        (Sum("x") | Distribution("g"), "t"),
-        (Sum("x") | Distribution("g"), "T"),
-        (Sum("x") | Distribution("g"), '"t"'),
-        (Sum("x") | PercentChange("g", "a"), "t"),
-        (Sum("x") | PercentChange("g", "a"), "base"),
-        (Sum("x") | Distribution("h") | AbsoluteChange("g", "a"), "BASE"),
+        (_CTE_METRICS[i], source) for i, source in _CTE_LEAD + [
+            (i, source) for source in _CTE_SOURCES for i in range(len(_CTE_METRICS))
+            if (i, source) not in _CTE_LEAD
+        ]
     ])
-    def test_source_named_like_a_cte_is_rejected(self, metric, source):
-        # sqlite reads such a name as the CTE: "circular reference: T".
-        for dialect in (PORTABLE, GOOGLE):
-            with pytest.raises(UnsupportedInDialect, match=repr(source)):
-                to_sql(metric, source, (), dialect)
+    def test_source_named_like_a_cte_compiles_and_agrees(self, metric, source):
+        # The CTEs take other names, so every read of the source is the table's.
+        t = Table.from_dict({"g": ["a", "a", "b", "b", "a"], "h": [1, 2, 1, 2, 2],
+                             "x": [1, 2, 4, 8, 16]})
+        to_sql(metric, source, (), GOOGLE)
+        assert_backend_equal(metric, t, (), source=source)
 
     @pytest.mark.parametrize("metric, source", [
         (Sum("x"), "t"),
@@ -216,6 +227,48 @@ class TestToSql:
     def test_source_named_like_a_cte_it_is_not_read_in_runs(self, metric, source):
         t = Table.from_dict({"g": ["a", "a", "b"], "h": [1, 2, 1], "x": [1, 2, 4]})
         assert execute_query(to_sql(metric, source), {source: t})
+
+
+class TestOneWithList:
+    # A statement's CTEs sit in one WITH list at its start, each under a name
+    # that no other CTE, the source table or the temp table Data takes.
+
+    _SOURCES = ["d", "t", "T", '"t"', "base", "Samples", "SampleRes", "Replicates", "data"]
+
+    @staticmethod
+    def _cte_names(text: str) -> list[str]:
+        """The names the WITH list defines: the statement at parenthesis depth 0."""
+        top, depth = [], 0
+        for ch in text:  # no baseline or name in these trees holds a parenthesis
+            depth -= ch == ")"
+            if depth == 0:
+                top.append(ch)
+            depth += ch == "("
+        return re.findall(r"(?:^WITH (?:RECURSIVE )?|,\n)(\w+)(?:\(\))? AS \(\)", "".join(top))
+
+    def test_each_statement_has_one_with_list_at_its_start(self):
+        rng = random.Random(2929)
+        cases = [(metric, split) for _, metric, split in GOLDEN_TREES]
+        cases += [(random_pipeline(rng), rng.choice([(), ("delta",)])) for _ in range(300)]
+        checked = 0
+        for i, (metric, split) in enumerate(cases):
+            source = self._SOURCES[i % len(self._SOURCES)]
+            for dialect in Dialect:
+                try:
+                    text = to_sql(metric, source, split, dialect).text
+                except MetricsError:
+                    continue
+                assert len(re.findall(r"\bWITH\b", text)) <= 1, text
+                assert "WITH" not in text or text.startswith("WITH "), text
+                names = [n.lower() for n in self._cte_names(text)]
+                # T per distribution; T and Base per change; Replicates,
+                # Samples and SampleRes per bootstrap.
+                per_node = {Distribution: 1, PercentChange: 2, AbsoluteChange: 2, Bootstrap: 3}
+                assert len(names) == sum(per_node.get(type(n), 0) for n in walk(metric)), text
+                assert len(set(names)) == len(names), text
+                assert not {source.strip('"').lower(), "data"} & set(names), text
+                checked += len(names) > 2
+        assert checked > 100
 
 
 class TestGoldenSnapshots:
@@ -231,7 +284,7 @@ class TestGoldenSnapshots:
         text = to_sql(metric, "events", (), GOOGLE).render()
         assert "STDDEV(" in text
         assert "UNNEST(GENERATE_ARRAY(1, 100))" in text
-        assert "CREATE TEMP TABLE Data" in text
+        assert "CREATE OR REPLACE TEMP TABLE Data" in text
         assert "MOD(" in text and "RAND()" not in text
 
     def test_googlesql_bootstrap_text_is_fixed_by_the_seed(self):
@@ -262,15 +315,24 @@ class TestResampleSql:
         for statement in q.preamble:
             con.execute(statement)
         cursor = con.execute("SELECT * FROM Data")
-        assert [d[0] for d in cursor.description] == ["g", "v", "row_number", "slice_size"]
+        assert [d[0] for d in cursor.description] == ["g", "v", "slice_size", "row_number"]
         rows = cursor.fetchall()
         assert len(rows) == mixed.row_count
         by_slice: dict = {}
-        for g, _, row_number, slice_size in rows:
+        for g, _, slice_size, row_number in rows:
             by_slice.setdefault(g, []).append((row_number, slice_size))
         for numbered in by_slice.values():
             n = len(numbered)
             assert sorted(numbered) == [(i, n) for i in range(1, n + 1)]
+
+    def test_portable_data_sorts_its_input_once(self, mixed):
+        # slice_size's window comes first, so row_number's sort serves both.
+        q = to_sql(Mean("v") | Bootstrap(7, seed=2), "d", ("g",), PORTABLE)
+        con = connect()
+        load_table(con, "d", mixed)
+        (create,) = [s for s in q.preamble if s.startswith("CREATE")]
+        plan = [row[-1] for row in con.execute(f"EXPLAIN QUERY PLAN {create}")]
+        assert sum("TEMP B-TREE" in step for step in plan) == 1, plan
 
     def test_seeds_draw_different_replicate_sets(self):
         con = connect()
@@ -368,9 +430,10 @@ class TestBootstrapEquivalence:
 
     def test_child_reading_no_column(self, mixed):
         metric = ScalarLiteral(2.0) | Bootstrap(5, seed=1)
-        for split, kept in (((), "ROW_NUMBER() OVER ()"), (("g",), "g, ROW_NUMBER()")):
+        for split, kept in (((), "COUNT(*) OVER () AS slice_size, ROW_NUMBER() OVER ()"),
+                            (("g",), "g, COUNT(*)")):
             q = to_sql(metric, "d", split, PORTABLE)
-            assert q.preamble[0].startswith(f"CREATE TEMP TABLE Data AS SELECT {kept}")
+            assert q.preamble[1].startswith(f"CREATE TEMP TABLE Data AS SELECT {kept}")
             assert_backend_equal(metric, mixed, split)
 
     def test_read_column_named_like_the_draw_state(self):
@@ -382,18 +445,22 @@ class TestBootstrapEquivalence:
         assert set(rows) == {key for key, _ in compute_on(metric, t, ("g",)).rows}
         assert rows[("b",)] == (0.0,)
 
+    def test_split_column_named_like_a_draw_hash_level_runs(self):
+        # The draw hash is one expression: it names no column of its own.
+        t = Table.from_dict({"rand": ["a", "a", "b", "b"], "x": [1.0, 2.0, 4.0, 8.0]})
+        assert_backend_equal(Mean("x") | Bootstrap(5, seed=1), t, ("rand",))
+
     @pytest.mark.parametrize("metric, columns, split", [
-        (Mean("x") | Bootstrap(5, seed=1), {"rand": ["a", "a", "b"]}, ("rand",)),
         (Mean("row_number") | Bootstrap(5), {"g": ["a", "a", "b"]}, ("g",)),
         (Mean("sample_idx") | Bootstrap(5), {"g": ["a", "a", "b"]}, ("g",)),
         (Mean("x") | Bootstrap(5), {"replicate_state": ["a", "a", "b"]}, ("replicate_state",)),
         (Mean("slice_size") | Bootstrap(5), {}, ()),
         (Mean("x").set_names(["sample_idx"]) | Bootstrap(5), {"g": ["a", "a", "b"]}, ("g",)),
-    ], ids=["split_rand", "read_row_number", "read_sample_idx", "split_replicate_state",
+    ], ids=["read_row_number", "read_sample_idx", "split_replicate_state",
             "read_slice_size", "value_sample_idx"])
     def test_input_columns_named_like_its_own_are_rejected(self, metric, columns, split):
-        # Each ran at the parent: the first two gave wrong SEs (0.0, or no
-        # rows at all), the third an ambiguous column in sqlite.
+        # Unchecked, the first gave no rows at all, the second an ambiguous
+        # column in sqlite.
         values = [1.0, 2.0, 4.0]
         t = Table.from_dict({"x": values, "row_number": values, "sample_idx": values,
                              "slice_size": values, **columns})
@@ -403,14 +470,16 @@ class TestBootstrapEquivalence:
                 to_sql(metric, "d", split, dialect)
 
     def test_reserved_names_are_the_bootstrap_sql_columns(self):
-        # The column aliases of the bootstrap SQL, other than the metric's
-        # values, are the set the input is checked against.
+        # The column aliases of the bootstrap SQL and the replicate series'
+        # column list, other than the metric's values, are the set the input
+        # is checked against.
         metric = Mean("x") | Distribution("h") | PercentChange("arm", "c") | Bootstrap(3)
         values = {node.names()[0] for node in walk(metric)}
         for dialect in Dialect:
             text = to_sql(metric, "d", ("g",), dialect).render()
-            found = re.findall(r" AS ([a-z_0-9]+)\b|RECURSIVE \w+\((\w+)\)", text)
-            assert {a or b for a, b in found} - values == _BOOTSTRAP_COLUMNS
+            found = re.findall(r" AS ([a-z_0-9]+)\b|Replicates\((\w+), (\w+)\) AS", text)
+            assert {name for names in found for name in names if name} - values == (
+                _BOOTSTRAP_COLUMNS)
 
     def test_grouped_bootstrap_executes(self, mixed):
         q = to_sql(Mean("v") | Bootstrap(60, seed=5), "d", ("g",), PORTABLE)
@@ -552,6 +621,19 @@ class TestOneTypePerColumn:
         assert dict(compute_on(metric, t).rows) == {
             ("1.0e+20",): (0.0,), ("1e+20",): (-75.0,), ("t",): (-50.0,)}
         assert_backend_equal(metric, t)
+
+    @pytest.mark.parametrize("baseline", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("arm", [[1, 2, 1, 3], ["Inf", "-Inf", "nan.0", "t"]],
+                             ids=["int", "text"])
+    def test_infinite_and_nan_baselines(self, arm, baseline):
+        # inf meets text as sqlite renders it ("Inf"); NaN, like NULL, equals no cell.
+        t = Table.from_dict({"arm": arm, "x": [1, 2, 4, 8]})
+        metric = Sum("x") | PercentChange("arm", baseline)
+        assert_backend_equal(metric, t)
+        text = to_sql(metric, "d", (), GOOGLE).text
+        want = {math.inf: "= CAST('inf' AS FLOAT64)", -math.inf: "= -CAST('inf' AS FLOAT64)"}
+        assert want.get(baseline, "= NULL") in text
 
     def test_text_in_a_value_column(self):
         t = read_csv(b"g,x\na,1\nb,oops\n")
