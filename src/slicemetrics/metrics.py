@@ -15,6 +15,7 @@ canonical serialization used for cache keys and golden tests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -24,10 +25,12 @@ from .errors import BindError, NameArityError, TypeMismatch, UnknownColumn
 from .table import TEXT, Cell
 
 
+_UNSAFE = re.compile(r"[^a-z0-9_]+")
+
+
 def sanitize_name(text: str) -> str:
     """Lowercase and squash anything outside [a-z0-9_] to underscores."""
-    out = re.sub(r"[^a-z0-9_]+", "_", text.lower())
-    return out or "_"
+    return _UNSAFE.sub("_", text.lower()) or "_"
 
 
 def _number_token(value: float | int) -> str:
@@ -56,6 +59,20 @@ PROB = "prob"  # a number in [0, 1]
 COUNT = "count"  # an optional positive integer literal: the replicate count
 SEED = "seed"  # bound by the DSL parser, never written in the DSL
 METRIC = "metric"  # a subtree
+
+
+def _memoized(method):
+    """``method`` computed once per node and kept on it: a tree never changes."""
+    slot = f"_{method.__name__}"
+
+    @functools.wraps(method)
+    def memoized(self):
+        value = self.__dict__.get(slot)
+        if value is None:
+            value = self.__dict__[slot] = method(self)
+        return value
+
+    return memoized
 
 
 def _no_child(node: "Metric"):
@@ -89,6 +106,7 @@ class Metric:
 
     # -- naming ------------------------------------------------------------
 
+    @_memoized
     def names(self) -> tuple[str, ...]:
         if self.names_override is not None:
             return self.names_override
@@ -117,6 +135,7 @@ class Metric:
         kids = [getattr(self, f) for f in self._children]
         return tuple([kid for kid in kids if kid is not None])
 
+    @_memoized
     def extra_dims(self) -> tuple[str, ...]:
         """Key columns this metric adds to the output beyond split_by.
 
@@ -428,7 +447,8 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
     column of the schema, and ``BindError`` for a repeated dimension, an
     operation without a child, or a value name that is a key column in the
     output or in an operation's child frame, where SQL selects both as columns
-    of one query.
+    of one query. A tree that passed at a split is not walked again to check
+    it at that split without ``columns``.
     Returns the computed frame's key columns.
     """
     kinds = columns if isinstance(columns, Mapping) else {}
@@ -459,10 +479,14 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
             visit(child, split)
 
     split_by = tuple(split_by)
+    checked = metric.__dict__.setdefault("_checked_splits", set())
+    if columns is None and split_by in checked:  # a tree never changes
+        return split_by + metric.extra_dims()
     for i, dim in enumerate(split_by):
         read(dim)
         if dim in split_by[:i]:
             raise BindError(f"split_by names {dim!r} twice")
     visit(metric, split_by)
     check_names(metric, split_by)
+    checked.add(split_by)
     return split_by + metric.extra_dims()

@@ -24,6 +24,7 @@ on sqlite a replicate draws the rows ``compute_on`` draws.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -66,11 +67,17 @@ _KEYWORDS = {
 
 def quote_ident(name: str, dialect: Dialect) -> str:
     """Quote a column name only when it needs it (keyword or odd characters)."""
-    if _IDENT_RE.fullmatch(name) and name.lower() not in _KEYWORDS:
+    if _is_plain(name):
         return name
     if dialect is Dialect.GOOGLESQL:
         return "`" + name.replace("`", "\\`") + "`"
     return '"' + name.replace('"', '""') + '"'
+
+
+@functools.lru_cache(maxsize=4096)
+def _is_plain(name: str) -> bool:
+    """Whether ``name`` reads as itself unquoted: an identifier and no keyword."""
+    return _IDENT_RE.fullmatch(name) is not None and name.lower() not in _KEYWORDS
 
 
 # sqlite reads this literal as inf, and 0 * inf as NULL.
@@ -135,14 +142,16 @@ def _arith_sql(op: str, left: str, right: str, dialect: Dialect) -> str:
     return f"{left} {token} {right}"
 
 
+_AGGREGATES = {
+    "sum": "SUM", "count": "COUNT", "mean": "AVG", "min": "MIN", "max": "MAX",
+    "variance": "VARIANCE", "sd": "STDDEV",
+}
+
+
 def _leaf_sql(leaf: m._LeafAggregate, dialect: Dialect) -> str:
     var = quote_ident(leaf.var, dialect)
-    simple = {
-        "sum": "SUM", "count": "COUNT", "mean": "AVG", "min": "MIN", "max": "MAX",
-        "variance": "VARIANCE", "sd": "STDDEV",
-    }
-    if leaf.tag in simple:
-        return f"{simple[leaf.tag]}({var})"
+    if leaf.tag in _AGGREGATES:
+        return f"{_AGGREGATES[leaf.tag]}({var})"
     if leaf.tag == "quantile":
         if dialect is Dialect.PORTABLE:
             raise UnsupportedInDialect("quantile aggregates are not available in the portable dialect")
@@ -151,28 +160,33 @@ def _leaf_sql(leaf: m._LeafAggregate, dialect: Dialect) -> str:
 
 
 def sql_aggregate(metric: m.Metric, data: str, dims: list[str] | tuple[str, ...], dialect: Dialect) -> str:
-    """Aggregation query: SELECT dims, expr AS name FROM data GROUP BY dims."""
+    """Aggregation query: SELECT dims, expr AS name FROM data GROUP BY dims.
+
+    A constant without dims reads no table: one row, as compute_on gives.
+    """
     quoted = [quote_ident(d, dialect) for d in dims]
     cols = quoted + [f"{sql_expr(metric, dialect)} AS {_name(metric, dialect)}"]
-    query = f"SELECT {', '.join(cols)} FROM {data}"
+    query = f"SELECT {', '.join(cols)}"
     if dims:
-        query += f" GROUP BY {', '.join(quoted)}"
+        query += f" FROM {data} GROUP BY {', '.join(quoted)}"
+    elif any(isinstance(node, m._LeafAggregate) for node in m.walk(metric)):
+        query += f" FROM {data}"
     return query
 
 
 class _Statement:
     """One statement's CTEs, each after those it reads, and its preamble.
 
-    A CTE takes its role's name, or the first free ``role2``, ``role3``, ...
-    where an earlier CTE, the source table (quotes stripped) or the temp
-    table ``Data`` has that name in any case.
+    A CTE, and the bootstrap's temp table, takes its role's name, or the
+    first free ``role2``, ``role3``, ... where an earlier name or the source
+    table (quotes stripped) has that name in any case.
     """
 
     def __init__(self, source: str):
         self.ctes: list[str] = []
         self.preamble: list[str] = []
         self.recursive = False
-        self._taken = {source.strip('"`').lower(), "data"}
+        self._taken = {source.strip('"`').lower()}
 
     def name(self, role: str) -> str:
         name, i = role, 1
@@ -208,14 +222,15 @@ def to_sql(
     ``compute_on``'s order. Its text is at most one ``WITH`` list, whose CTE
     names are unique and differ from ``data``, followed by the final SELECT.
     Bootstrap adds the statements that fill the temp table ``Data`` to the
-    preamble; Jackknife has no SQL form.
+    preamble (``Data2`` where ``data`` is the name data, in any case);
+    Jackknife has no SQL form.
     """
     split_by = tuple(split_by)
     key_columns = m.bind(metric, split_by)
     stmt = _Statement(data)
     text = stmt.text(_node_to_sql(metric, data, split_by, dialect, stmt))
     if key_columns:  # by position: under a change, a bare key name is ambiguous
-        text += " ORDER BY " + ", ".join(str(i + 1) for i in range(len(key_columns)))
+        text += " ORDER BY " + ", ".join(map(str, range(1, len(key_columns) + 1)))
     return SqlQuery(text, key_columns, metric.names(), tuple(stmt.preamble))
 
 
@@ -278,12 +293,14 @@ def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect, stmt):
         raise NestedBootstrap("Bootstrap cannot contain another Bootstrap in SQL generation")
     columns = node.draw_columns(split_by)
     _check_bootstrap_names(child, split_by, columns)
-    numbered, samples = _resample_sql(stmt, data, split_by, node.n_rep, dialect, node.seed, columns)
-    # Both replace an earlier statement's Data; ``temp.`` spares a main table Data.
+    temp, numbered, samples = _resample_sql(stmt, data, split_by, node.n_rep, dialect,
+                                            node.seed, columns)
+    # Both replace an earlier statement's table; ``temp.`` spares a main table of its name.
     if dialect is Dialect.GOOGLESQL:
-        stmt.preamble.append(f"CREATE OR REPLACE TEMP TABLE Data AS ({numbered})")
+        stmt.preamble.append(f"CREATE OR REPLACE TEMP TABLE {temp} AS ({numbered})")
     else:
-        stmt.preamble += ["DROP TABLE IF EXISTS temp.Data", f"CREATE TEMP TABLE Data AS {numbered}"]
+        stmt.preamble += [f"DROP TABLE IF EXISTS temp.{temp}",
+                          f"CREATE TEMP TABLE {temp} AS {numbered}"]
     samples = stmt.add("Samples", samples)
     child_text = _node_to_sql(child, samples, split_by + ("sample_idx",), dialect, stmt)
     sample_res = stmt.add("SampleRes", child_text)
@@ -347,7 +364,9 @@ def resample_n_times_sql(data: str, split_by: list[str] | tuple[str, ...], n_rep
 
     The input query keeps ``split_by`` plus ``columns`` and numbers the rows
     of each split_by slice once, ordered by ``columns`` (nulls first), next
-    to the slice's size; it is materialized as the temp table Data. Rows
+    to the slice's size; it is materialized as the temp table Data (Data2
+    where ``data`` is the name data, in any case), which the samples query
+    reads. Rows
     that tie are equal in every kept column, so the numbering fixes the draw
     up to interchangeable rows; ``table.draw_order`` numbers them the same.
     The samples query crosses Data with the CTE ``Replicates(sample_idx,
@@ -364,12 +383,13 @@ def resample_n_times_sql(data: str, split_by: list[str] | tuple[str, ...], n_rep
     draws the same rows.
     """
     stmt = _Statement(data)
-    input_data, samples = _resample_sql(stmt, data, split_by, n_rep, dialect, seed, columns)
+    _, input_data, samples = _resample_sql(stmt, data, split_by, n_rep, dialect, seed, columns)
     return input_data, stmt.text(samples)
 
 
 def _resample_sql(stmt: _Statement, data, split_by, n_rep, dialect, seed, columns):
-    """``resample_n_times_sql``'s pair, its CTE added to ``stmt``."""
+    """The temp table's name and ``resample_n_times_sql``'s pair, its CTE added to ``stmt``."""
+    temp = stmt.name("Data")
     by = [quote_ident(d, dialect) for d in split_by]
     by_prefix = (", ".join(by) + ", ") if by else ""
     partition = f"PARTITION BY {', '.join(by)}" if by else ""
@@ -398,13 +418,13 @@ def _resample_sql(stmt: _Statement, data, split_by, n_rep, dialect, seed, column
             f" FROM {replicates} WHERE sample_idx < {n_rep})"
         )
     # The row's hash is uniform on 0..2**30 - 1, so CEILING lands in 1..slice_size.
-    rand = _mix_sql(f"{replicates}.replicate_state + Data.row_number", dialect)
+    rand = _mix_sql(f"{replicates}.replicate_state + {temp}.row_number", dialect)
     same = _NULL_SAFE_EQ[dialect]
-    on = [f"Draws.{q} {same} Data.{q}" for q in by] + ["Draws.row_number = Data.row_number"]
-    return input_data, (
-        "SELECT Data.*, Draws.sample_idx\nFROM (\n"
+    on = [f"Draws.{q} {same} {temp}.{q}" for q in by] + [f"Draws.row_number = {temp}.row_number"]
+    return temp, input_data, (
+        f"SELECT {temp}.*, Draws.sample_idx\nFROM (\n"
         f"  SELECT {by_prefix}sample_idx,"
         f" CEILING(({rand} + 1) / {STATES}.0 * slice_size) AS row_number\n"
-        f"  FROM Data CROSS JOIN {replicates}) AS Draws\n"
-        f"JOIN Data ON {' AND '.join(on)}"
+        f"  FROM {temp} CROSS JOIN {replicates}) AS Draws\n"
+        f"JOIN {temp} ON {' AND '.join(on)}"
     )

@@ -6,6 +6,11 @@ once, as arrays (see ``Column``). Cells are rebuilt from the arrays when asked
 for: plain Python ints, floats and strings, None for a null, and one shared
 NaN object for every NaN, so NaN cells are equal as keys.
 
+CSV with no quote, carriage return or NUL byte is read in a few numpy passes
+over its bytes (``_cut``). Any other file, and any file that fails a check
+there, is read row by row by ``csv.reader`` (``_parse``), which raises every
+ingest error, so both give the same table or the same error.
+
 Bootstrap rows are drawn with the integer hash the generated SQL computes
 (``mix``), in the row order its ``ROW_NUMBER()`` gives (``draw_order``), so
 both backends draw the same rows.
@@ -13,10 +18,13 @@ both backends draw the same rows.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
+import itertools
 import math
+import operator
 import re
 from numbers import Integral, Real
 from collections.abc import Iterable
@@ -36,6 +44,8 @@ INT, FLOAT, TEXT = "int", "float", "text"
 # decide exactly, as they accept nothing else (no whitespace, "_", "nan").
 _INT_CHARS = re.compile(r"[0-9+\-\n]*")
 _NUMBER_CHARS = re.compile(r"[0-9.eE+\-\n]*")
+# The lone surrogates "surrogateescape" decodes invalid UTF-8 bytes to.
+_SURROGATE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,11 +78,7 @@ class Column:
         if None in cells:
             null = np.fromiter((v is None for v in cells), dtype=bool, count=len(cells))
             cells = [0 if v is None else v for v in cells]
-        ints = all(issubclass(kind, Integral) for kind in kinds)
-        try:
-            return cls(name, np.array(cells, dtype=np.int64 if ints else np.float64), null)
-        except OverflowError:  # an int beyond int64
-            return cls(name, np.array(cells, dtype=np.float64), null)
+        return _numeric(name, cells, all(issubclass(kind, Integral) for kind in kinds), null)
 
     @property
     def kind(self) -> str:
@@ -136,28 +142,44 @@ class Column:
         return [self.data] if null is None else [self.data, ~null]
 
 
+def _numeric(name: str, numbers: list, ints: bool, null: np.ndarray | None) -> Column:
+    """A numeric column: int64 when ``ints`` and every number fits, else float64."""
+    try:
+        return Column(name, np.array(numbers, dtype=np.int64 if ints else np.float64), null)
+    except OverflowError:  # an int beyond int64
+        return Column(name, np.array(numbers, dtype=np.float64), null)
+
+
 def _text(name: str, cells: list, null: str | None = None) -> Column:
     """A text column of ``cells``; the cell ``null`` is a null."""
-    index = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
+    index = dict(zip(dict.fromkeys(cells), itertools.count()))
     codes = np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))
-    return Column(name, codes, levels=tuple(None if cell == null else cell for cell in index))
+    levels = list(index)
+    if null in index:
+        levels[index[null]] = None
+    return Column(name, codes, levels=tuple(levels))
 
 
-def _typed(name: str, cells: list[str]) -> Column:
+def _typed(name: str, cells: list[str], joined: str) -> Column:
     """A CSV column: numeric when every non-empty cell is a number, else text.
 
-    The empty cell is a null. The numbers are ints when every one is an int
-    that fits int64, and floats otherwise. Text keeps each cell's string, so
-    "nan", "inf" and "1_0" are text, and make their column text.
+    ``joined`` is the cells joined by newlines. The empty cell is a null. The numbers
+    are ints when every one is an int that fits int64, and floats otherwise.
+    Text keeps each cell's string, so "nan", "inf" and "1_0" are text, and
+    make their column text.
     """
-    joined = "\n".join(cells)
     # A cell holding a newline is no number, and would split in the join.
     if joined.count("\n") == max(len(cells) - 1, 0) and _NUMBER_CHARS.fullmatch(joined):
-        parse = int if _INT_CHARS.fullmatch(joined) else float
+        ints = _INT_CHARS.fullmatch(joined) is not None
+        null = None
+        if "" in cells:
+            null = np.fromiter(map(operator.not_, cells), dtype=bool, count=len(cells))
         try:
-            return Column.from_cells(name, [parse(cell) if cell else None for cell in cells])
+            numbers = list(map(int if ints else float,
+                               cells if null is None else [cell or "0" for cell in cells]))
         except ValueError:  # a cell such as "1-2" or "."
-            pass
+            return _text(name, cells, null="")
+        return _numeric(name, numbers, ints, null)
     return _text(name, cells, null="")
 
 
@@ -238,8 +260,9 @@ def read_csv(source: bytes | io.BufferedIOBase, columns: Iterable[str] | None = 
     header order, and names missing from the header are skipped. A table's
     row count comes from its columns, so when none is named the first column
     is kept. Either way the whole file is checked: ParseError (with the
-    offending 1-based data row number) for a ragged row, then SchemaError for
-    a duplicate or empty header name.
+    offending 1-based data row number, 0 for the header) for a ragged row,
+    invalid UTF-8 or a field longer than ``csv.field_size_limit()``, then
+    SchemaError for a duplicate or empty header name.
     """
 
     def pick(header: list[str]):
@@ -249,8 +272,7 @@ def read_csv(source: bytes | io.BufferedIOBase, columns: Iterable[str] | None = 
         wanted = set(columns)
         return [i for i in keep if header[i] in wanted] or keep[:1]
 
-    header, parsed = _read(source, pick)
-    return Table([_typed(header[i], cells) for cells, i in parsed])
+    return Table(_read(source, pick)[1])
 
 
 def read_header(source: bytes | io.BufferedIOBase) -> tuple[str, ...]:
@@ -261,24 +283,109 @@ def read_header(source: bytes | io.BufferedIOBase) -> tuple[str, ...]:
     return tuple(_read(source, lambda header: ())[0])
 
 
-def _read(source, pick) -> tuple[list[str], list[tuple[list[str], int]]]:
-    """The header, and the raw cells of the header positions ``pick(header)`` names."""
+def _read(source, pick) -> tuple[list[str], list[Column]]:
+    """The header, and the typed columns of the header positions ``pick(header)`` names."""
     raw = source if isinstance(source, bytes) else source.read()
-    reader = csv.reader(io.StringIO(raw.decode("utf-8-sig"), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("CSV input is empty; a header row is required") from None
-    parsed = [([], i) for i in pick(header)]
-    for rownum, row in enumerate(reader, start=1):
-        if len(row) != len(header):
-            raise ParseError(
-                f"row {rownum} has {len(row)} fields, expected {len(header)}", row=rownum
-            )
-        for col, i in parsed:
-            col.append(row[i])
+    read = _cut(raw, pick)
+    return _parse(raw, pick) if read is None else read
+
+
+_NEWLINE, _COMMA = ord("\n"), ord(",")
+
+
+def _cut(raw: bytes, pick) -> tuple[list[str], list[Column]] | None:
+    """``_parse(raw, pick)`` in a few numpy passes over the bytes, or None.
+
+    With no quote, carriage return or NUL byte in ``raw``, each comma and
+    newline ends a field, and a row is a line cut at its commas. The check
+    finds every separator at once and requires each line to hold the
+    header's width; each picked column is then one gather of its fields'
+    bytes, joined by newlines, and one decode. None, leaving the file to
+    ``_parse`` and so every error to one place, for any other file and for
+    invalid UTF-8, an empty line, a row of another width or a field longer
+    than ``csv.field_size_limit()``.
+    """
+    if b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    if not raw.endswith(b"\n"):  # csv.reader reads a last line without one alike
+        raw += b"\n"
+    end = raw.index(b"\n", start)
+    header = raw[start:end].decode().split(",")
+    width, limit = len(header), csv.field_size_limit()
+    if end == start or max(map(len, header)) > limit:
+        return None
+    # From the header's newline on: seps[0] is it, and row r's fields end
+    # at seps[r * width + 1 .. (r + 1) * width], the last at a newline.
+    body = np.frombuffer(raw, dtype=np.uint8, offset=end)
+    newline = body == _NEWLINE
+    seps = np.flatnonzero(newline | (body == _COMMA))
+    rows, ragged = divmod(len(seps) - 1, width)
+    lengths = np.diff(seps) - 1
+    if (ragged or np.count_nonzero(newline) != rows + 1
+            or not (body[seps[width::width]] == _NEWLINE).all()
+            or lengths.max(initial=0) > limit
+            or (width == 1 and not lengths.all())):  # an empty line
+        return None
+    del newline, lengths
     _check_names(header)
-    return header, parsed
+    columns = []
+    for i in pick(header):
+        # Each field with the separator before it, that separator made a newline.
+        before, after = seps[i:-1:width], seps[i + 1::width]
+        sizes = after - before
+        offsets = np.cumsum(sizes) - sizes
+        at = np.repeat(before - offsets, sizes)
+        at += np.arange(len(at))
+        cut = body[at]
+        cut[offsets] = _NEWLINE
+        joined = cut[1:].tobytes().decode()
+        del at, cut
+        columns.append(_typed(header[i], joined.split("\n") if rows else [], joined))
+    return header, columns
+
+
+def _parse(raw: bytes, pick) -> tuple[list[str], list[Column]]:
+    """``_read`` by ``csv.reader``, row by row; it raises every ingest error.
+
+    A ParseError names the 1-based data row (0 for the header) that is
+    ragged, holds invalid UTF-8 or fails ``csv.reader`` (a field longer
+    than ``csv.field_size_limit()``; a NUL byte before Python 3.11). It
+    comes before a SchemaError for a bad header name.
+    """
+    try:
+        text, invalid = raw.decode("utf-8-sig"), None
+    except UnicodeDecodeError:  # find its row: each bad byte becomes a lone surrogate
+        text, invalid = raw.decode("utf-8-sig", "surrogateescape"), _SURROGATE.search
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header, rownum = None, 0
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("CSV input is empty; a header row is required")
+        if invalid is not None and any(map(invalid, header)):
+            raise ParseError("the header is not valid UTF-8", row=0)
+        parsed = [(i, []) for i in pick(header)]
+        for rownum, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"row {rownum} has {len(row)} fields, expected {len(header)}", row=rownum
+                )
+            if invalid is not None and any(map(invalid, row)):
+                raise ParseError(f"row {rownum} is not valid UTF-8", row=rownum)
+            for i, cells in parsed:
+                cells.append(row[i])
+    except csv.Error as err:  # raised while reading the row after ``rownum``
+        row = 0 if header is None else rownum + 1
+        where = f"row {row}" if row else "the header"
+        raise ParseError(f"{where}: {err}", row=row) from None
+    _check_names(header)
+    return header, [_typed(header[i], cells, "\n".join(cells)) for i, cells in parsed]
 
 
 def _check_names(names) -> None:
@@ -320,7 +427,7 @@ def coerce_cell(cell: Cell, kind: str) -> Cell:
         return cell
     if kind == TEXT:
         return _real_text(cell) if isinstance(cell, float) else str(cell)
-    (number,) = _typed("", [cell]).values
+    (number,) = _typed("", [cell], cell).values
     return cell if number is None else number
 
 

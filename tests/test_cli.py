@@ -199,6 +199,13 @@ class TestSqlMode:
         assert_sql_mode_agrees(capsys, path, "mean(x) | bootstrap(5); sum(x) | bootstrap(5)")
         assert_sql_mode_agrees(capsys, path, "mean(x) | bootstrap(5); sum(x) | bootstrap(7)", "g")
 
+    def test_input_named_data_is_read_after_a_bootstrap(self, capsys, tmp_path):
+        # The temp table takes another name, so a later statement reads the input.
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"g,x,y\na,1,5\na,2,6\nb,4,7\nb,7,8\n")
+        assert_sql_mode_agrees(capsys, path, "mean(x) | bootstrap(5); sum(y)")
+        assert_sql_mode_agrees(capsys, path, "mean(x) | bootstrap(5); sum(y) | bootstrap(3)", "g")
+
     def test_multiple_metrics_emit_multiple_queries(self, capsys):
         code, out, _ = run_cli(
             capsys, "--metric", "sum(a); count(b)", "--mode", "sql"
@@ -235,6 +242,22 @@ class TestErrors:
             capsys, "--metric", "sum(lost)", "--input", "/nonexistent.csv"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("body, message", [
+        pytest.param(b"x,y\n1,2\n3,\xff\n", "error: row 2 is not valid UTF-8",
+                     id="invalid-utf8"),
+        pytest.param(b"x,y\n1,2\n3," + b"a" * 200_000 + b"\n",
+                     "error: row 2: field larger than field limit (131072)", id="long-field"),
+    ])
+    def test_bad_input_bytes_are_user_errors(self, capsys, tmp_path, body, message):
+        # Quoting a cell sends the file to csv.reader; the outcome is the same.
+        for data in (body, body.replace(b"\n3,", b'\n"3",')):
+            path = tmp_path / "bad.csv"
+            path.write_bytes(data)
+            for mode in ("compute", "sql"):
+                code, out, err = run_cli(capsys, "--metric", "sum(x)", "--input", str(path),
+                                         "--mode", mode)
+                assert (code, out, err) == (1, "", message + "\n")
 
     def test_text_aggregation_is_user_error(self, capsys, fig2_csv_path):
         code, _, err = run_cli(

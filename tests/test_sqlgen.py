@@ -556,6 +556,15 @@ class TestBackendEquivalenceSpot:
         assert math.isnan(frame[("w", "a")][0])
         assert_backend_equal(metric, t, ("r",))
 
+    def test_a_constant_without_a_split_is_one_row(self):
+        t = Table.from_dict({"g": ["a", "b", "a"], "x": [1, 2, 3]})
+        empty = Table.from_dict({"g": [], "x": []})
+        for metric in (ScalarLiteral(0.5), ScalarLiteral(2.0) - ScalarLiteral(0.5)):
+            for table in (t, empty):
+                assert_backend_equal(metric, table, ())
+            assert_backend_equal(metric, t, ("g",))
+        assert to_sql(ScalarLiteral(0.5), "d").text == 'SELECT 0.5 AS "0_5"'
+
     def test_random_tables_random_metrics(self):
         rng = random.Random(51)
         metrics = [

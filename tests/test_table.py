@@ -12,12 +12,14 @@ import pytest
 
 from slicemetrics import (
     EmptyInput,
+    MetricsError,
     ParseError,
     SchemaError,
     Table,
     UnknownColumn,
     read_csv,
 )
+from slicemetrics import table as table_module
 from slicemetrics.table import (
     FLOAT,
     INT,
@@ -28,6 +30,7 @@ from slicemetrics.table import (
     draw_order,
     group_rows,
     mix,
+    read_header,
     resample_with_replacement,
     write_csv,
 )
@@ -201,6 +204,135 @@ class TestReadCsvColumns:
         for columns in (None, ["b"]):  # a ragged row is reported before a bad header
             with pytest.raises(ParseError):
                 read_csv(b"a,a,b\n1,2\n", columns)
+
+
+def _outcome(read, *args):
+    """A read's header and columns (kind and cell reprs), or its error type and row."""
+    try:
+        result = read(*args)
+    except MetricsError as err:
+        return type(err).__name__, getattr(err, "row", None)
+    if result is None:  # the cut declined the file
+        return None
+    header, columns = result
+    return header, [(col.name, col.kind, repr(col.values)) for col in columns]
+
+
+def _public(read, raw: bytes):
+    try:
+        result = read(raw)
+    except MetricsError as err:
+        return type(err).__name__, getattr(err, "row", None)
+    return _described(result) if isinstance(result, Table) else result
+
+
+_LIMIT = csv.field_size_limit()
+_PLAIN_CELLS = ["0", "-3", "+7", "12", "2.5", "-0.0", "1e3", "", "", "x", "héllo", "日本",
+                "1-2", ".", "nan", "inf", "1_0", " 1", "9223372036854775808", "-"]
+_SPECIAL_CELLS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "π,ü", '"', "\r\n"]
+
+
+class TestReadPaths:
+    """The numpy cut (``_cut``) against csv.reader (``_parse``) on the same bytes.
+
+    ``_cut`` may decline a file (None); otherwise both give the same header
+    and columns, or the same error. Quoting a cell sends a file to
+    ``_parse``, so the public readers must give the same outcome either way.
+    """
+
+    @staticmethod
+    def _same(raw: bytes, fast: bool | None = None):
+        for pick in (lambda header: range(len(header)), lambda header: (),
+                     lambda header: range(len(header))[-1:]):
+            cut = _outcome(table_module._cut, raw, pick)
+            if fast is not None:
+                assert (cut is None) != fast, raw[:80]
+            parsed = _outcome(table_module._parse, raw, pick)
+            assert cut is None or cut == parsed, raw[:80]
+
+    @staticmethod
+    def _random_rows(rng, special: bool):
+        width = rng.randint(1, 5)
+        header = [f"c{i}" for i in range(width)]
+        pools = [rng.sample(_PLAIN_CELLS, rng.randint(1, 6)) for _ in range(width)]
+        rows = []
+        for _ in range(rng.randint(0, 12)):
+            row = [rng.choice(pool) for pool in pools]
+            if special and rng.random() < 0.5:
+                row[rng.randrange(width)] = rng.choice(_SPECIAL_CELLS)
+            rows.append(row)
+        return header, rows
+
+    def test_random_tables_read_alike_on_both_paths(self):
+        rng = random.Random(30)
+        fast = 0
+        for _ in range(300):
+            header, rows = self._random_rows(rng, special=rng.random() < 0.5)
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerows([header] + rows)
+            written = out.getvalue().encode()
+            self._same(written)
+            # Unquoted, one field per comma: the cut takes it, and it reads as
+            # csv.writer's quoted text, unless a row is an empty line (a
+            # single empty cell, which csv.writer quotes).
+            if not any(c in cell for row in rows for cell in row for c in ',"\n\r'):
+                plain = "".join(",".join(line) + "\n" for line in [header] + rows).encode()
+                empty_line = len(header) == 1 and [""] in rows
+                self._same(plain, fast=not empty_line)
+                if not empty_line:
+                    assert _public(read_csv, plain) == _public(read_csv, written)
+                    assert _public(read_header, plain) == _public(read_header, written)
+                    fast += 1
+        assert fast > 100
+
+    @pytest.mark.parametrize("raw, fast", [
+        pytest.param(b"\xef\xbb\xbfa,b\n1,2\n", True, id="bom"),
+        pytest.param(b"a,b\n1,2", True, id="no-trailing-newline"),
+        pytest.param(b"a,b\n1,2\n\n", False, id="trailing-empty-line"),
+        pytest.param(b"a,b\n1,2\n\n3,4\n", False, id="empty-line-in-the-middle"),
+        pytest.param(b"a\n1\n2\n", True, id="one-column"),
+        pytest.param(b"a\n1\n\n2\n", False, id="one-column-empty-line"),
+        pytest.param(b"a\n\n", False, id="one-column-only-an-empty-line"),
+        pytest.param(b"a,b\r\n1,2\r\n", False, id="crlf"),
+        pytest.param(b"a,b\n", True, id="header-only"),
+        pytest.param(b"a,b", True, id="header-only-no-newline"),
+        pytest.param(b"", False, id="empty"),
+        pytest.param(b"\xef\xbb\xbf", False, id="bom-only"),
+        pytest.param(b"\n1\n", False, id="empty-header-line"),
+        pytest.param(b"a,b\n1,2,3\n", False, id="ragged"),
+        pytest.param(b"a,a\n1,2\n", True, id="duplicate-name"),
+        pytest.param(b"a,\n1,2\n", True, id="empty-name"),
+        pytest.param(b"a,a\n1\n", False, id="ragged-before-bad-header"),
+        pytest.param(b"a,b\n1,\xff\n", False, id="invalid-utf8"),
+        pytest.param(b"a,\xff\n1,2\n", False, id="invalid-utf8-header"),
+        pytest.param(b"a,b\n1,\xc3\xa9\n", True, id="utf8-text"),
+        pytest.param(b"a,b\n1,\x00\n", False, id="nul"),
+        pytest.param(b"a,b\n1," + b"x" * _LIMIT + b"\n", True, id="field-at-the-limit"),
+        pytest.param(b"a,b\n1," + b"x" * (_LIMIT + 1) + b"\n", False, id="field-over-the-limit"),
+        pytest.param(b"a" + b"x" * _LIMIT + b",b\n1,2\n", False, id="name-over-the-limit"),
+    ])
+    def test_edge_files(self, raw, fast):
+        self._same(raw, fast)
+        if raw.lstrip(b"\xef\xbb\xbf").startswith(b"a"):
+            quoted = raw.replace(b"a", b'"a"', 1)
+            assert table_module._cut(quoted, lambda header: ()) is None
+            assert _public(read_csv, raw) == _public(read_csv, quoted)
+            assert _public(read_header, raw) == _public(read_header, quoted)
+
+    def test_ingest_errors_name_their_row(self):
+        cases = [
+            (b"a,b\n1,2\n3,\xff\n", 2),
+            (b'a,b\n1,2\n3,"\xff"\n', 2),
+            (b"a,b\n1,2\n3," + b"x" * (_LIMIT + 1) + b"\n", 2),
+            (b'a,b\n"1\n2",2\n3,"x' + b"x" * _LIMIT + b'"\n', 2),  # rows, not lines
+            (b"a,\xfe\n1,2\n", 0),
+            (b"a" * (_LIMIT + 1) + b"\n1\n", 0),
+        ]
+        for raw, row in cases:
+            for read in (read_csv, read_header):
+                with pytest.raises(ParseError) as err:
+                    read(raw)
+                assert err.value.row == row, raw[:40]
 
 
 class TestParseCell:
