@@ -48,10 +48,9 @@ class ResultFrame:
         return self.rows[0][1][0]
 
     def sorted_rows(self) -> list[tuple[tuple[Cell, ...], tuple[float, ...]]]:
-        """Rows by key, cell by cell: nulls, then numbers, then NaN, then text.
+        """Rows by key, cell by cell: nulls, then numbers, then text by code point.
 
-        Text sorts by code point. Except for NaN, which SQLite stores as
-        NULL, this is SQLite's ascending ``ORDER BY``.
+        This is SQLite's ascending ``ORDER BY``.
         """
         return sorted(self.rows, key=lambda row: _order_token(row[0]))
 
@@ -92,7 +91,5 @@ def _format_value(v: float) -> str:
 
 
 def _order_token(values: tuple[Cell, ...]):
-    # Nulls, then numbers, then NaN, then text: a hand-built frame may mix types in a
-    # key column, and NaN, unordered against every number, sorts as one value after them.
-    return [(0, 0) if v is None else (3, v) if isinstance(v, str) else (2, 0) if v != v
-            else (1, v) for v in values]
+    # Nulls, then numbers, then text: a hand-built frame may mix types in a key column.
+    return [(0, 0) if v is None else (2, v) if isinstance(v, str) else (1, v) for v in values]

@@ -212,7 +212,7 @@ def to_sql(
     metric: m.Metric,
     data: str,
     split_by: list[str] | tuple[str, ...] = (),
-    dialect: Dialect = Dialect.PORTABLE,
+    dialect: Dialect | str = Dialect.PORTABLE,
 ) -> SqlQuery:
     """Compile a metric into one executable query over the table expression.
 
@@ -223,8 +223,14 @@ def to_sql(
     names are unique and differ from ``data``, followed by the final SELECT.
     Bootstrap adds the statements that fill the temp table ``Data`` to the
     preamble (``Data2`` where ``data`` is the name data, in any case);
-    Jackknife has no SQL form.
+    Jackknife has no SQL form. ``dialect`` is a Dialect or its value; any
+    other raises UnsupportedInDialect.
     """
+    if not isinstance(dialect, Dialect):
+        try:
+            dialect = Dialect(dialect)
+        except ValueError:
+            raise UnsupportedInDialect(f"unknown dialect {dialect!r}") from None
     split_by = tuple(split_by)
     key_columns = m.bind(metric, split_by)
     stmt = _Statement(data)

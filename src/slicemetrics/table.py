@@ -3,8 +3,8 @@
 Tables are immutable after construction and safe to share across threads.
 Each column has one type, decided once when the table is made, and is stored
 once, as arrays (see ``Column``). Cells are rebuilt from the arrays when asked
-for: plain Python ints, floats and strings, None for a null, and one shared
-NaN object for every NaN, so NaN cells are equal as keys.
+for: plain Python ints, floats and strings, and None for a null. A NaN input
+cell is a null cell, as in pandas and SQL, so no column holds NaN.
 
 CSV with no quote, carriage return or NUL byte is read in a few numpy passes
 over its bytes (``_cut``). Any other file, and any file that fails a check
@@ -36,8 +36,6 @@ from .errors import EmptyInput, ParseError, SchemaError, UnknownColumn
 
 Cell = int | float | str | None
 
-NAN = float("nan")
-
 INT, FLOAT, TEXT = "int", "float", "text"
 
 # Only a column of these characters can be numeric; int() and float() then
@@ -67,9 +65,10 @@ class Column:
     def from_cells(cls, name: str, cells: Iterable[Cell]) -> "Column":
         """A column of cells: numeric when each is None or a real number, numpy's too.
 
-        Any other column is text, and its numbers become their CSV text.
+        Any other column is text, and its numbers become their CSV text. A NaN
+        cell is None: a null, which decides no column's type.
         """
-        cells = list(cells)
+        cells = [None if v != v else v for v in cells]
         kinds = set(map(type, cells)) - {type(None)}
         if not all(issubclass(kind, Real) for kind in kinds):
             return _text(name, [v if v is None or isinstance(v, str) else format_cell(v)
@@ -88,13 +87,10 @@ class Column:
 
     @property
     def values(self) -> tuple[Cell, ...]:
-        """The cells, rebuilt from the arrays; every NaN is the one object ``NAN``."""
+        """The cells, rebuilt from the arrays."""
         if self.levels is not None:
             return tuple(map(self.levels.__getitem__, self.data.tolist()))
         cells = self.data.tolist()
-        if self.data.dtype == np.float64:
-            for i in np.flatnonzero(np.isnan(self.data)).tolist():
-                cells[i] = NAN
         if self.null is not None:
             for i in np.flatnonzero(self.null).tolist():
                 cells[i] = None
@@ -110,7 +106,7 @@ class Column:
         """Integer codes, equal cells sharing one, and their bound; some may be unused.
 
         A numeric column is numbered on each call: 0.0 and -0.0 share a code,
-        NaN cells share one, and nulls one more.
+        and nulls one more.
         """
         if self.levels is not None:
             return self.data, len(self.levels)
@@ -126,9 +122,8 @@ class Column:
     def sql_order(self) -> list[np.ndarray]:
         """``np.lexsort`` keys, least significant first, for sqlite's ascending order.
 
-        Nulls come first, and NaN cells with them, as sqlite stores NaN as
-        NULL; then numbers by value, or text by code point, which is sqlite's
-        BINARY order on UTF-8.
+        Nulls come first, then numbers by value, or text by code point, which
+        is sqlite's BINARY order on UTF-8.
         """
         if self.levels is not None:
             ranked = sorted(range(len(self.levels)),
@@ -136,10 +131,7 @@ class Column:
             rank = np.empty(len(ranked), dtype=np.intp)
             rank[ranked] = np.arange(len(ranked))
             return [rank[self.data]]
-        null = np.isnan(self.data) if self.data.dtype == np.float64 else None
-        if self.null is not None:
-            null = self.null if null is None else null | self.null
-        return [self.data] if null is None else [self.data, ~null]
+        return [self.data] if self.null is None else [self.data, ~self.null]
 
 
 def _numeric(name: str, numbers: list, ints: bool, null: np.ndarray | None) -> Column:

@@ -15,7 +15,9 @@ from slicemetrics import SqlQuery, Table
 from slicemetrics.table import FLOAT, INT, TEXT
 
 
-class StdDevAgg:
+class VarianceAgg:
+    """The n - 1 sample variance of the non-null values, NULL below two."""
+
     def __init__(self):
         self.values = []
 
@@ -27,14 +29,14 @@ class StdDevAgg:
         n = len(self.values)
         if n < 2:
             return None
-        mean = sum(self.values) / n
-        return math.sqrt(sum((v - mean) ** 2 for v in self.values) / (n - 1))
+        mean = math.fsum(self.values) / n
+        return math.fsum((v - mean) ** 2 for v in self.values) / (n - 1)
 
 
-class VarianceAgg(StdDevAgg):
+class StdDevAgg(VarianceAgg):
     def finalize(self):
-        sd = super().finalize()
-        return None if sd is None else sd * sd
+        variance = super().finalize()
+        return None if variance is None else math.sqrt(variance)
 
 
 def connect() -> sqlite3.Connection:

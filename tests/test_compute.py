@@ -395,7 +395,7 @@ class TestJackknife:
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_nan_unit_leaves_out_its_rows(self):
-        # A NaN unit is a unit, as a null one is: its replicate drops its row.
+        # A NaN unit is the null unit, a unit like any other: its replicate drops its row.
         for first in (float("nan"), None):
             t = Table.from_dict({"u": [first, 1, 2], "x": [10, 1, 2]})
             se = compute_on(Mean("x") | Jackknife("u"), t).single_value()
@@ -514,17 +514,17 @@ class TestSplitting:
         assert dict(frame.rows) == {("US",): (2.0, 4.0), ("EU",): (1.0, 2.0)}
 
     def test_rows_are_sorted_by_key_in_any_input_order(self):
-        # Nulls, then numbers, then NaN (unordered against every number), then text.
+        # Nulls, then numbers; a NaN cell is a null, so its rows join the null key.
         nan = math.nan
         g = [1.0, nan, None, 0.5, 2.0, nan, 0.5]
         results = []
         for order in (g, g[::-1], g[3:] + g[:3]):
-            t = Table.from_dict({"g": order, "x": [7 if v is None else v for v in order]})
+            t = Table.from_dict({"g": order, "x": [7 if v is None or v != v else v
+                                                   for v in order]})
             results.append(repr(compute_on(Count("x"), t, ("g",)).rows))
         assert results[0] == results[1] == results[2]
         assert results[0] == repr((
-            ((None,), (1.0,)), ((0.5,), (2.0,)), ((1.0,), (1.0,)), ((2.0,), (1.0,)),
-            ((nan,), (2.0,)),
+            ((None,), (3.0,)), ((0.5,), (2.0,)), ((1.0,), (1.0,)), ((2.0,), (1.0,)),
         ))
 
     def test_joint_rows_are_sorted_by_key(self):
@@ -532,12 +532,9 @@ class TestSplitting:
         frame = compute_on([Sum("x"), Sum("x") * 2.0], t, ("g",))
         assert [key for key, _ in frame.rows] == [(None,), ("B",), ("a",), ("b",)]
 
-    def test_nan_dimension_cells_are_one_key_across_frames(self):
-        nan = math.nan
-        t = Table.from_dict({"g": [1.0, nan, nan], "x": [4, 2, 3]})
+    def test_nan_and_none_dimension_cells_are_one_key_across_frames(self):
+        t = Table.from_dict({"g": [1.0, math.nan, None], "x": [4, 2, 3]})
         joint = compute_on([Sum("x"), Count("x")], t, ("g",))
-        assert len(joint.rows) == 2
-        (key, values), = [row for row in joint.rows if math.isnan(row[0][0])]
-        assert values == (5.0, 2.0)
-        ratio = dict(compute_on(Sum("x") / Count("x"), t, ("g",)).rows)
-        assert len(ratio) == 2 and ratio[key] == (2.5,)
+        assert joint.rows == (((None,), (5.0, 2.0)), ((1.0,), (4.0, 1.0)))
+        ratio = compute_on(Sum("x") / Count("x"), t, ("g",))
+        assert ratio.rows == (((None,), (2.5,)), ((1.0,), (4.0,)))

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from slicemetrics import (
@@ -191,6 +193,21 @@ class TestToSql:
         assert "WHERE year = 2020" in q.text
         t = Table.from_dict({"year": [2020, 2021, 2021], "x": [1, 2, 4]})
         assert_backend_equal(Sum("x") | AbsoluteChange("year", 2020), t, ())
+
+    def test_a_dialect_may_be_named_by_its_value(self):
+        metric = Mean("x") | Bootstrap(3)
+        for dialect in Dialect:
+            assert to_sql(metric, "d", (), dialect.value) == to_sql(metric, "d", (), dialect)
+
+    def test_portable_by_name_has_no_quantile(self):
+        with pytest.raises(UnsupportedInDialect, match="portable"):
+            to_sql(Quantile("x", 0.5), "d", (), "portable")
+
+    @pytest.mark.parametrize("dialect", ["oracle", "PORTABLE", None, 1])
+    def test_an_unknown_dialect_is_rejected(self, dialect):
+        for metric in (Quantile("x", 0.5), Mean("x") | Bootstrap(3), Sum("x")):
+            with pytest.raises(UnsupportedInDialect, match="unknown dialect"):
+                to_sql(metric, "d", (), dialect)
 
     def test_jackknife_has_no_sql(self):
         with pytest.raises(UnsupportedInDialect):
@@ -600,6 +617,56 @@ class TestBackendEquivalenceSpot:
         assert checked > 50
 
 
+class TestHarnessAggregates:
+    # tests/helpers registers VARIANCE and STDDEV on sqlite; they must be the
+    # aggregates themselves, or the harness makes divergences of its own.
+
+    def test_variance_is_exact(self):
+        con = connect()
+        select = "SELECT {}(x) FROM (SELECT 0.0 AS x UNION ALL SELECT 2.0 UNION ALL SELECT NULL)"
+        assert con.execute(select.format("VARIANCE")).fetchone() == (2.0,)
+        assert con.execute(select.format("STDDEV")).fetchone() == (math.sqrt(2.0),)
+        assert con.execute("SELECT VARIANCE(1.0), STDDEV(1.0)").fetchone() == (None, None)
+        con.close()
+
+
+class TestNanIsNull:
+    # A NaN input cell is a null cell in both backends, as sqlite stores NaN as NULL.
+
+    @pytest.mark.parametrize("metric", [Sum("x"), Mean("x"), Count("x")],
+                             ids=["sum", "mean", "count"])
+    def test_a_leaf_skips_a_nan_cell(self, metric):
+        t = Table.from_dict({"g": ["a", "a", "b"], "x": [1.0, math.nan, 2.0]})
+        assert compute_on(metric, t, ("g",)).rows[0] == (("a",), (1.0,))
+        assert_backend_equal(metric, t, ("g",))
+
+    def test_a_distribution_total_skips_a_nan_cell(self):
+        t = Table.from_dict({"g": ["a", "a", "b"], "x": [1.0, math.nan, 2.0]})
+        metric = Sum("x") | Distribution("g")
+        frame = compute_on(metric, t)
+        assert frame.rows == ((("a",), (1 / 3,)), (("b",), (2 / 3,)))
+        assert_backend_equal(metric, t)
+
+    def test_none_and_nan_dimension_cells_are_one_null_slice(self):
+        t = Table.from_dict({"g": [None, math.nan, 1.0], "x": [1, 2, 4]})
+        frame = compute_on(Sum("x"), t, ("g",))
+        assert frame.rows == (((None,), (3.0,)), ((1.0,), (4.0,)))
+        assert_backend_equal(Sum("x"), t, ("g",))
+
+    def test_a_nan_in_a_numpy_float_column(self):
+        t = Table.from_dict({"g": ["a", "a", "b", "b"], "x": np.array([1.0, np.nan, 2.0, 4.0])})
+        for metric in (Sum("x"), Mean("x"), Count("x")):
+            assert_backend_equal(metric, t, ("g",))
+        assert_backend_equal(Sum("x") | Distribution("g"), t)
+
+    def test_a_nan_cell_in_a_text_column_is_null(self):
+        t = Table.from_dict({"g": ["a", math.nan, "b", "a"], "x": [1, 2, 4, 8]})
+        frame = compute_on(Sum("x"), t, ("g",))
+        assert frame.rows == (((None,), (2.0,)), (("a",), (9.0,)), (("b",), (4.0,)))
+        assert_backend_equal(Sum("x"), t, ("g",))
+        assert_backend_equal(Count("g"), t)
+
+
 class TestOneTypePerColumn:
     # "t" makes arm a text column, so its "1" cells are strings in both backends.
     ARMS = b"arm,x\n1,10\nt,15\n1,20\nt,30\n"
@@ -676,11 +743,12 @@ class TestRowOrder:
     ]
 
     def _table(self, rng: random.Random) -> Table:
-        """Nulls in every column; one g1 slice may have no non-null x."""
+        """Nulls in every column, every other one a NaN cell; one g1 slice may have no x."""
         n = rng.randint(0, 30)
+        null = itertools.cycle([None, float("nan")]).__next__  # rng draws as without NaN
 
         def cells(values, rate):
-            return [None if rng.random() < rate else rng.choice(values) for _ in range(n)]
+            return [null() if rng.random() < rate else rng.choice(values) for _ in range(n)]
 
         data = {name: cells(values, 0.15) for name, values in self._TEXT.items()}
         if rng.random() < 0.3:
@@ -689,7 +757,7 @@ class TestRowOrder:
         data["y"] = cells([0, 1, 7], 0.2)
         emptied = rng.choice(self._TEXT["g1"])
         if rng.random() < 0.5:
-            data["x"] = [None if g == emptied else v for g, v in zip(data["g1"], data["x"])]
+            data["x"] = [null() if g == emptied else v for g, v in zip(data["g1"], data["x"])]
         return Table.from_dict(data)
 
     def test_compute_rows_come_in_the_sql_cursor_order(self):
@@ -716,8 +784,8 @@ class TestRowOrder:
 
 class TestBootstrapDraws:
     # compute_on resamples within each split_by slice, with the SQL's hash and
-    # in the order its ROW_NUMBER() numbers the rows, so on tables without NaN
-    # cells (sqlite stores NaN as NULL) both backends draw the same rows.
+    # in the order its ROW_NUMBER() numbers the rows, so both backends draw the
+    # same rows.
 
     _SPLITS = [(), ("g1",), ("g1", "g2")]
     _TREES = [

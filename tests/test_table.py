@@ -369,6 +369,64 @@ class TestTableInvariants:
         assert other.fingerprint() != fig2.fingerprint()
 
 
+class TestNanIsNull:
+    # A NaN input cell is a null cell, as in pandas and SQL: the table is the
+    # one its None cells make, and no float column holds NaN.
+
+    @pytest.mark.parametrize("with_nan, with_none", [
+        pytest.param([1, math.nan, 2], [1, None, 2], id="int-column"),
+        pytest.param([1.5, math.nan], [1.5, None], id="float-column"),
+        pytest.param(np.array([1.0, np.nan, 3.0]), [1.0, None, 3.0], id="numpy-float-array"),
+        pytest.param([np.float32(2.0), np.float64("nan")], [np.float32(2.0), None],
+                     id="numpy-float-scalars"),
+        pytest.param(["a", math.nan, 1], ["a", None, 1], id="text-column"),
+        pytest.param([math.nan, math.nan], [None, None], id="all-nan"),
+        pytest.param([math.nan, None, math.inf], [None, None, math.inf], id="inf-stays"),
+    ])
+    def test_a_nan_cell_is_a_none_cell(self, with_nan, with_none):
+        got, want = Table.from_dict({"v": with_nan}), Table.from_dict({"v": with_none})
+        assert got.schema == want.schema
+        assert got.column("v").values == want.column("v").values
+        assert got.fingerprint() == want.fingerprint()
+
+    def test_a_nan_cell_in_a_text_column_is_null_not_nan_text(self):
+        column = Column.from_cells("s", ["a", float("nan"), "nan"])
+        assert column.values == ("a", None, "nan")
+        assert column.nulls().tolist() == [False, True, False]
+
+    def test_no_column_holds_nan(self):
+        rng = random.Random(31)
+        pool = [None, math.nan, np.nan, np.float64("nan"), 1, -2, 2.5, -0.0, math.inf,
+                2**70, "a", "nan"]
+        texts = ["", "nan", "NaN", "1.5", "-0.0", "7", "1e999", "-1e999", "x"]
+
+        def check(columns):
+            for column in columns:
+                if column.kind == FLOAT:
+                    assert not np.isnan(column.data).any(), column.name
+                    rows = np.arange(len(column.data))[::-1]
+                    assert not np.isnan(column.take(rows).data).any(), column.name
+
+        def every(header):
+            return range(len(header))
+
+        for _ in range(200):
+            n = rng.randint(0, 8)
+            cells = rng.sample(pool, rng.randint(1, 4))
+            data = {f"c{i}": [rng.choice(cells) for _ in range(n)] for i in range(3)}
+            table = Table.from_dict(data)
+            check(table.columns)
+            check(Column.from_cells(name, iter(v)) for name, v in data.items())
+            rows = [[rng.choice(texts) for _ in range(3)] for _ in range(n)]
+            raw = "".join(",".join(row) + "\n" for row in [["a", "b", "c"]] + rows).encode()
+            quoted = raw.replace(b"a", b'"a"', 1)
+            for columns in (table_module._cut(raw, every)[1],
+                            table_module._parse(raw, every)[1],
+                            table_module._parse(quoted, every)[1],
+                            read_csv(quoted).columns):
+                check(columns)
+
+
 class TestGroupRows:
     def test_figure_table_by_region(self, fig2):
         groups = group_rows(fig2, ["region"])
@@ -530,6 +588,7 @@ class TestDrawOrder:
         assert row_number.tolist() == list(range(1, 9)) and slice_size.tolist() == [8] * 8
 
     def test_numbers_sort_by_value_with_nan_among_the_nulls(self):
+        # The NaN cell is a null, so it ties with the None cell, in either order.
         nan = float("nan")
         t = Table.from_dict({"x": [2.5, None, -1.0, nan, 10.0, -0.5]})
         rows, _, _ = draw_order(t, (), ("x",))
