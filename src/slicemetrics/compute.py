@@ -57,16 +57,17 @@ def compute_on(
     split_by: list[str] | tuple[str, ...] = (),
     ctx: EvalContext | None = None,
 ) -> ResultFrame:
-    """Evaluate one metric, or a sequence of metrics jointly, over dimensions.
+    """Evaluate one metric, or a list or tuple of metrics jointly, over dimensions.
 
-    A sequence shares one cache, so common subtrees are computed once; the
+    A list shares one cache, so common subtrees are computed once; the
     frames are then merged on their keys. Jointly computed metrics must
     produce identical key columns. Rows come sorted by key
     (``ResultFrame.sorted_rows``), the order of the SQL's ``ORDER BY``.
     """
     ctx = ctx or EvalContext()
     split_by = tuple(split_by)
-    metrics = [metric] if isinstance(metric, m.Metric) else list(metric)
+    joint = isinstance(metric, (list, tuple))
+    metrics = list(metric) if joint else [metric]  # bind refuses a non-metric
     keys = {m.bind(one, split_by, table.schema) for one in metrics}
     if len(keys) != 1:
         raise BindError(f"jointly computed metrics must share one key, got {sorted(keys)}")
@@ -74,7 +75,7 @@ def compute_on(
     if len(set(names)) != len(names):
         raise BindError(f"jointly computed metrics repeat a value name: {names}")
     frames = [_cached_compute(one, table, split_by, ctx) for one in metrics]
-    frame = frames[0] if isinstance(metric, m.Metric) else _merge_frames(frames)
+    frame = _merge_frames(frames) if joint else frames[0]
     return ResultFrame(frame.key_columns, frame.value_columns, tuple(frame.sorted_rows()))
 
 
@@ -145,9 +146,9 @@ def eval_leaf(leaf: m._LeafAggregate, values) -> float:
     if kind == "count":
         return float(n)
     if kind == "sum":
-        return math.fsum(values.tolist())
+        return _sum(values.tolist())
     if kind == "mean":
-        return math.fsum(values.tolist()) / n if n else NAN
+        return _sum(values.tolist()) / n if n else NAN
     if kind == "min":
         return min(values.tolist()) if n else NAN  # Python's min: a leading NaN wins
     if kind == "max":
@@ -159,6 +160,15 @@ def eval_leaf(leaf: m._LeafAggregate, values) -> float:
     if kind == "quantile":
         return _quiet(np.quantile, values, leaf.q) if n else NAN
     raise TypeError(f"unknown leaf aggregate: {kind!r}")
+
+
+def _sum(values: list[float]) -> float:
+    """The exact sum (``math.fsum``), or where a partial sum is not finite the
+    IEEE one, as SQL's ``SUM`` gives: inf + -inf is NaN, an overflow +-inf."""
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return sum(values)
 
 
 # -- pointwise arithmetic ----------------------------------------------------

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from . import metrics as m
-from .errors import DslError
+from .errors import BindError, DslError
 
 _TOKEN_RE = re.compile(
     r"""
@@ -196,14 +196,14 @@ class _Parser:
             exponent = self.signed_number()
             if exponent is None:
                 self.fail("the exponent of ** must be a number", expected=("number",))
-            return m.combine("pow", atom, _number(exponent.text))
+            return m.combine("pow", atom, float(exponent.text))
         return atom
 
     def parse_atom(self) -> m.Metric:
         tok = self.tok
         number = self.signed_number()
         if number is not None:
-            return m.ScalarLiteral(_number(number.text))
+            return m.ScalarLiteral(float(number.text))
         if tok.kind == "name":
             node = self.parse_call()
             if isinstance(node, m.Operation):
@@ -247,21 +247,28 @@ class _Parser:
         return self.build(cls, name_tok, args)
 
     def build(self, cls, call: Token, args: list[Token]) -> m.Metric:
-        """Read each written argument through its role's reader; bind the seed."""
+        """Read each written argument by its token's kind, check it by its role; bind the seed."""
         written = _WRITTEN[cls.tag]
         least = sum(role != m.COUNT for _, role in written)
         if not least <= len(args) <= len(written):
             most = len(written)
             want = str(most) if least == most else f"{least} to {most}"
             _arg_error(call, f"{call.text} takes {want} argument(s), got {len(args)}")
-        values = {f: _READERS[role](call, i, f, tok)
-                  for i, ((f, role), tok) in enumerate(zip(written, args))}
+        values = {}
+        for i, ((f, role), tok) in enumerate(zip(written, args)):
+            if tok.kind not in _KINDS[role]:
+                if role == m.CELL:
+                    _arg_error(tok, "baseline must be a quoted string or a number")
+                _arg_error(call, f"{call.text} needs a column name at argument {i + 1}")
+            try:
+                values[f] = _value(tok, role)
+                m.check_arg(cls.tag, f, role, values[f])
+            except ValueError:  # more digits than int() converts
+                _arg_error(tok, f"{call.text} {f} is too large")
+            except BindError as err:
+                _arg_error(tok, str(err))
         values.update((f, self.seed) for f, role in cls.args if role == m.SEED)
         return cls(**values)
-
-
-def _number(text: str) -> float:
-    return float(text)
 
 
 def _unquote(text: str) -> str:
@@ -272,53 +279,26 @@ def _arg_error(tok: Token, message: str):
     raise DslError(message, tok.line, tok.col)
 
 
-def _column(call: Token, i: int, field: str, tok: Token) -> str:
-    if tok.kind != "name":
-        _arg_error(call, f"{call.text} needs a column name at argument {i + 1}")
-    return tok.text
-
-
-def _baseline_cell(call: Token, i: int, field: str, tok: Token):
+def _value(tok: Token, role: str):
+    """A name's text, a string's contents, or a number: an int where written
+    as an integer (exact past 2**53), else a float, as a PROB reads each."""
+    if tok.kind == "name":
+        return tok.text
     if tok.kind == "string":
         return _unquote(tok.text)
-    if tok.kind == "number":
-        if not tok.text.removeprefix("-").isdecimal():
-            return _number(tok.text)
-        try:
-            return int(tok.text)  # exact: a float would round past 2**53
-        except ValueError:  # more digits than int() converts
-            _arg_error(tok, "baseline is too large")
-    _arg_error(tok, "baseline must be a quoted string or a number")
+    if role == m.PROB or not tok.text.removeprefix("-").isdecimal():
+        return float(tok.text)
+    return int(tok.text)
 
 
-def _probability(call: Token, i: int, field: str, tok: Token) -> float:
-    if tok.kind != "number":
-        _arg_error(tok, f"{call.text} needs a numeric {field} in [0, 1]")
-    p = _number(tok.text)
-    if not 0.0 <= p <= 1.0:
-        _arg_error(tok, f"{call.text} {field} must be in [0, 1], got {p}")
-    return p
-
-
-def _replicate_count(call: Token, i: int, field: str, tok: Token) -> int:
-    if tok.kind != "number" or not tok.text.removeprefix("-").isdecimal():
-        _arg_error(tok, f"{call.text} replicate count must be an integer literal")
-    try:
-        n = int(tok.text)
-    except ValueError:  # more digits than int() converts
-        _arg_error(tok, f"{call.text} replicate count is too large")
-    if n < 1:
-        _arg_error(tok, f"{call.text} replicate count must be positive, got {n}")
-    return n
-
-
-# How a call argument of each role is read; SEED and METRIC are never written.
-_READERS = {
-    m.COLUMN: _column,
-    m.DIM: _column,
-    m.CELL: _baseline_cell,
-    m.PROB: _probability,
-    m.COUNT: _replicate_count,
+# The token kinds a call argument of each role may be; ``metrics.check_arg``
+# then rules on the value read. SEED and METRIC are never written.
+_KINDS = {
+    m.COLUMN: ("name",),
+    m.DIM: ("name",),
+    m.CELL: ("string", "number"),
+    m.PROB: ("name", "string", "number"),
+    m.COUNT: ("name", "string", "number"),
 }
 
 
@@ -335,7 +315,7 @@ _BUILDERS = {cls.tag: cls for cls in _kinds(m.Metric) if cls is not m.ScalarLite
 
 # Each call's written arguments, in order; an omitted COUNT takes its default.
 _WRITTEN = {
-    tag: tuple((f, role) for f, role in cls.args if role in _READERS)
+    tag: tuple((f, role) for f, role in cls.args if role in _KINDS)
     for tag, cls in _BUILDERS.items()
 }
 
@@ -418,5 +398,5 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-# How a call argument of each role is printed; the inverse of _READERS.
+# How a call argument of each role is printed; the inverse of _value.
 _PRINTERS = {m.COLUMN: str, m.DIM: str, m.CELL: _cell_text, m.PROB: repr, m.COUNT: str}

@@ -56,9 +56,9 @@ DIM = "dim"  # an input column the node reads and adds to its output key
 CELL = "cell"  # a baseline literal
 NUMBER = "number"  # a scalar literal's value
 PROB = "prob"  # a number in [0, 1]
-COUNT = "count"  # an optional positive integer literal: the replicate count
-SEED = "seed"  # bound by the DSL parser, never written in the DSL
-METRIC = "metric"  # a subtree
+COUNT = "count"  # an optional positive integer: the replicate count
+SEED = "seed"  # an integer, bound by the DSL parser, never written in the DSL
+METRIC = "metric"  # a subtree; an operation's child is None in a template
 
 
 def _memoized(method):
@@ -85,12 +85,42 @@ _SERIAL = {
 }
 
 
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# The values each role accepts: a test, and the words for it in the error.
+_CHECK = {
+    COLUMN: (lambda v: isinstance(v, str), "a column name"),
+    DIM: (lambda v: isinstance(v, str), "a column name"),
+    CELL: (lambda v: v is None or isinstance(v, str) or _real(v), "a str, a number or None"),
+    NUMBER: (_real, "a real number"),
+    PROB: (lambda v: _real(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    COUNT: (lambda v: _integer(v) and v >= 1, "a positive integer"),
+    SEED: (_integer, "an integer"),
+    METRIC: (lambda v: isinstance(v, Metric), "a metric"),
+}
+
+
+def check_arg(tag: str, field: str, role: str, value) -> None:
+    """Raise BindError unless ``role`` accepts ``value``; nothing is converted."""
+    test, wanted = _CHECK[role]
+    if not test(value):
+        raise BindError(f"{tag} {field} must be {wanted}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Metric:
     """Base node. Subclasses declare ``tag``, ``args`` and, for operations, ``prefix``.
 
-    A metric has one value per slice, so ``names()`` is a 1-tuple; only a
-    jointly computed list of metrics gives a frame several value columns.
+    Building a node, ``dataclasses.replace`` included, checks each argument
+    against its role (``check_arg``). A metric has one value per slice, so
+    ``names()`` is a 1-tuple; only a jointly computed list of metrics gives a
+    frame several value columns.
     """
 
     names_override: tuple[str, ...] | None = field(default=None, kw_only=True)
@@ -103,6 +133,12 @@ class Metric:
         cls._reads = tuple(f for f, role in cls.args if role in (COLUMN, DIM))
         cls._dims = tuple(f for f, role in cls.args if role == DIM)
         cls._children = tuple(f for f, role in cls.args if role == METRIC)
+
+    def __post_init__(self):
+        for f, role in self.args:
+            value = getattr(self, f)
+            if value is not None or f != "child":  # an operation template has no child
+                check_arg(self.tag, f, role, value)
 
     # -- naming ------------------------------------------------------------
 
@@ -119,6 +155,8 @@ class Metric:
         names = tuple(names)
         if len(names) != 1:
             raise NameArityError(f"a metric has one value, got {len(names)} names")
+        if not isinstance(names[0], str):
+            raise BindError(f"a metric's name must be a str, got {names[0]!r}")
         return dataclasses.replace(self, names_override=names)
 
     # -- structure ----------------------------------------------------------
@@ -278,10 +316,6 @@ class Quantile(_LeafAggregate):
     tag = "quantile"
     args = (("var", COLUMN), ("q", PROB))
 
-    def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise BindError(f"quantile q must be in [0, 1], got {self.q}")
-
     def default_names(self):
         return (f"quantile_{sanitize_name(self.var)}_{_number_token(self.q)}",)
 
@@ -302,6 +336,7 @@ class Composite(Metric):
     def __post_init__(self):
         if self.op not in _OP_TOKENS:
             raise BindError(f"unknown arithmetic op: {self.op!r}")
+        super().__post_init__()
         if self.op == "pow" and not isinstance(self.right, ScalarLiteral):
             raise BindError("the exponent of ** must be a scalar literal")
 
@@ -380,10 +415,6 @@ class Bootstrap(Operation):
     args = (("n_rep", COUNT), ("seed", SEED), ("child", METRIC))
     prefix = "se_"
 
-    def __post_init__(self):
-        if self.n_rep < 1:
-            raise BindError(f"n_rep must be positive, got {self.n_rep}")
-
     def draw_columns(self, split_by) -> list[str]:
         """The columns both backends order each slice's rows by before drawing.
 
@@ -406,9 +437,9 @@ class Jackknife(Operation):
 def as_metric(value) -> Metric:
     if isinstance(value, Metric):
         return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _real(value):
         return ScalarLiteral(float(value))
-    raise TypeError(f"cannot use {value!r} as a metric")
+    raise BindError(f"cannot use {value!r} as a metric")
 
 
 def combine(op: str, left, right) -> Composite:
@@ -419,7 +450,7 @@ def combine(op: str, left, right) -> Composite:
 def pipe(metric: Metric, op: Operation) -> Metric:
     """Attach ``metric`` as the child of an operation template."""
     if not isinstance(op, Operation):
-        raise TypeError(f"can only pipe into an operation, not {type(op).__name__}")
+        raise BindError(f"can only pipe into an operation, not {type(op).__name__}")
     if op.child is not None:
         raise BindError("operation already has a child metric")
     return dataclasses.replace(op, child=metric)
@@ -444,13 +475,15 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
     Each child is checked at the split it is evaluated at, so a distribution
     or change adds its dimension. Raises ``UnknownColumn`` for a column missing
     from ``columns``, ``TypeMismatch`` for a numeric aggregate over a text
-    column of the schema, and ``BindError`` for a repeated dimension, an
-    operation without a child, or a value name that is a key column in the
-    output or in an operation's child frame, where SQL selects both as columns
-    of one query. A tree that passed at a split is not walked again to check
+    column of the schema, and ``BindError`` for a non-metric, a repeated
+    dimension, an operation without a child, or a value name that is a key
+    column in the output or in an operation's child frame, where SQL selects
+    both as columns of one query. A tree that passed at a split is not walked again to check
     it at that split without ``columns``.
     Returns the computed frame's key columns.
     """
+    if not isinstance(metric, Metric):
+        raise BindError(f"expected a metric, got {metric!r}")
     kinds = columns if isinstance(columns, Mapping) else {}
 
     def read(name: str):

@@ -95,11 +95,6 @@ def literal(value: Cell, dialect: Dialect) -> str:
     return format_cell(value)
 
 
-def _scalar_sql(value: float) -> str:
-    text = repr(value)
-    return f"({text})" if value < 0 else text
-
-
 def sql_expr(metric: m.Metric, dialect: Dialect) -> str:
     """The SQL expression of a leaf's or composite's one value.
 
@@ -107,7 +102,8 @@ def sql_expr(metric: m.Metric, dialect: Dialect) -> str:
     position or the dialect lacks the aggregate.
     """
     if isinstance(metric, m.ScalarLiteral):
-        return _scalar_sql(metric.value)
+        text = literal(metric.value, dialect)
+        return f"({text})" if metric.value < 0 else text
     if isinstance(metric, m._LeafAggregate):
         return _leaf_sql(metric, dialect)
     if isinstance(metric, m.Composite):

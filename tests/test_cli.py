@@ -111,6 +111,17 @@ class TestComputeMode:
         assert code == 0
         assert out == "region,count_lost\nEU,2.0\nUS,4.0\n"
 
+    @pytest.mark.parametrize("csv, out", [
+        (b"g,x\na,1e999\na,-1e999\nb,2\n", "g,sum_x,mean_x\na,NaN,NaN\nb,2.0,2.0\n"),
+        (b"g,x\na,1e308\na,1e308\n", "g,sum_x,mean_x\na,inf,inf\n"),
+    ], ids=["inf_minus_inf", "overflow"])
+    def test_non_finite_sums_follow_ieee(self, capsys, tmp_path, csv, out):
+        path = tmp_path / "big.csv"
+        path.write_bytes(csv)
+        code, got, err = run_cli(capsys, "--input", str(path), "--metric", "sum(x); mean(x)",
+                                 "--split-by", "g")
+        assert (code, got, err) == (0, out, "")
+
     def test_seed_changes_bootstrap_output(self, capsys, fig2_csv_path):
         args = ["--metric", "mean(lost) | bootstrap(30)", "--input", fig2_csv_path]
         _, out_a, _ = run_cli(capsys, *args, "--seed", "1")

@@ -29,6 +29,7 @@ from slicemetrics import (
     UnsupportedInDialect,
     Variance,
     compute_on,
+    parse,
     read_csv,
     to_sql,
 )
@@ -545,6 +546,43 @@ class TestZeroDenominators:
         (sql_se,) = execute_query(to_sql(metric, "d"), {"d": t})[()]
         assert math.isfinite(sql_se)
         assert "IS_INF(" in to_sql(metric, "d", (), GOOGLE).text
+
+
+class TestNonFiniteValues:
+    # A sum whose partials are not finite follows IEEE, as SQL's SUM does
+    # (inf + -inf is NaN, an overflow inf), and a non-finite constant is the
+    # dialect's literal for it.
+
+    @pytest.mark.parametrize("csv, want", [
+        (b"g,x\na,1e999\na,-1e999\nb,2\n", {("a",): math.nan, ("b",): 2.0}),
+        (b"g,x\na,1e308\na,1e308\n", {("a",): math.inf}),
+    ], ids=["inf_minus_inf", "overflow"])
+    def test_non_finite_sums_match_sqlite(self, csv, want):
+        t = read_csv(csv)
+        for metric in (Sum("x"), Mean("x")):
+            got = {key: v for key, (v,) in compute_on(metric, t, ("g",)).rows}
+            assert got.keys() == want.keys()
+            assert all(got[k] == want[k] or math.isnan(got[k]) and math.isnan(want[k])
+                       for k in want)
+            assert_backend_equal(metric, t, ("g",))
+            assert_backend_equal(metric, t)
+
+    @pytest.mark.parametrize("constant, text", [
+        (math.inf, "9e999"), (-math.inf, "(-9e999)"), (math.nan, "NULL"),
+    ], ids=["inf", "neg_inf", "nan"])
+    def test_non_finite_constants_are_literals(self, constant, text):
+        t = Table.from_dict({"g": ["a", "a", "b", "c"], "x": [1.0, 2.0, -1.0, 0.0]})
+        for metric in (Sum("x") * constant, Sum("x") + constant, ScalarLiteral(constant)):
+            assert text in sql_expr(metric, PORTABLE)
+            for split in ((), ("g",)):
+                assert_backend_equal(metric, t, split)
+        google = sql_expr(Sum("x") * constant, GOOGLE)
+        assert google == "SUM(x) * " + text.replace("9e999", "CAST('inf' AS FLOAT64)")
+
+    def test_non_finite_dsl_constants_run_on_sqlite(self):
+        t = Table.from_dict({"g": ["a", "b"], "x": [1.0, -2.0]})
+        for src in ("sum(x) * 1e999", "sum(x) - 1e999", "1e999 / sum(x)"):
+            assert_backend_equal(parse(src).metrics[0], t, ("g",))
 
 
 class TestBackendEquivalenceSpot:
