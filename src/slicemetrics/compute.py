@@ -108,9 +108,8 @@ def _compute(metric: m.Metric, table: Table, split_by, ctx: EvalContext) -> Resu
     if isinstance(metric, m._LeafAggregate):
         groups = group_rows(table, split_by)
         column = table.column(metric.var)  # bind let only Count read a text column
-        null = column.nulls()
-        if null is not None:
-            groups = {key: indices[~null[indices]] for key, indices in groups.items()}
+        if column.null is not None:
+            groups = {key: indices[~column.null[indices]] for key, indices in groups.items()}
         rows = tuple((key, (eval_leaf(metric, column.data[indices]),))
                      for key, indices in groups.items())
         return ResultFrame(split_by, metric.names(), rows)
@@ -271,12 +270,13 @@ def _eval_operation(node: m.Operation, table: Table, split_by, ctx: EvalContext)
 def _eval_distribution(node, table, split_by, ctx):
     child_frame = _cached_compute(node.child, table, split_by + (node.over,), ctx)
     at = len(split_by)
-    totals: dict[tuple, float] = {}
+    values: dict[tuple, list[float]] = {}
     for key, (v,) in child_frame.rows:
         # NaN rows stay out of the total, as NULLs do in SQL's window SUM.
-        slice_key = key[:at] + key[at + 1:]
-        total = totals.get(slice_key, 0.0)
-        totals[slice_key] = total if math.isnan(v) else total + v
+        kept = values.setdefault(key[:at] + key[at + 1:], [])
+        if not math.isnan(v):
+            kept.append(v)
+    totals = {slice_key: _sum(kept) for slice_key, kept in values.items()}
     rows = tuple((key, (_apply("div", v, totals[key[:at] + key[at + 1:]]),))
                  for key, (v,) in child_frame.rows)
     return ResultFrame(child_frame.key_columns, node.names(), rows)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
+import math
 import re
 from dataclasses import dataclass
 
@@ -361,12 +362,12 @@ def _render(metric: m.Metric) -> tuple[str, int]:
     if metric.names_override is not None:
         rename = f' as "{_escape(metric.names_override[0])}"'
     if isinstance(metric, m.ScalarLiteral):
-        return repr(metric.value) + rename, _LEVEL_PIPE if rename else _LEVEL_ATOM
+        return _cell_text(metric.value) + rename, _LEVEL_PIPE if rename else _LEVEL_ATOM
     if isinstance(metric, m.Composite):
         if metric.op == "pow":
             base = _print(metric.left, _LEVEL_ATOM)
             assert isinstance(metric.right, m.ScalarLiteral)
-            text = f"{base} ** {metric.right.value!r}"
+            text = f"{base} ** {_cell_text(metric.right.value)}"
             return text + rename, _LEVEL_PIPE if rename else _LEVEL_POW
         level = _OP_LEVEL[metric.op]
         left = _print(metric.left, level)
@@ -387,10 +388,15 @@ def _call_text(node: m.Metric) -> str:
 
 
 def _cell_text(cell) -> str:
+    """A baseline or constant as the DSL reads it back: inf overflows as 1e999."""
     if isinstance(cell, str):
         return f'"{_escape(cell)}"'
     if cell is None:
         raise ValueError("a null baseline has no DSL spelling")
+    if cell != cell:
+        raise ValueError("a NaN has no DSL spelling")
+    if cell in (math.inf, -math.inf):  # not isinf: an int may exceed a float
+        return "1e999" if cell > 0 else "-1e999"
     return repr(cell)
 
 

@@ -242,6 +242,12 @@ class Metric:
     def __or__(self, op: "Operation") -> "Metric":
         return pipe(self, op)
 
+    def __ror__(self, other):
+        return pipe(other, self)
+
+    def __neg__(self):
+        raise BindError("a metric has no unary minus; write -1 * metric")
+
 
 @dataclass(frozen=True)
 class ScalarLiteral(Metric):

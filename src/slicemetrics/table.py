@@ -2,9 +2,12 @@
 
 Tables are immutable after construction and safe to share across threads.
 Each column has one type, decided once when the table is made, and is stored
-once, as arrays (see ``Column``). Cells are rebuilt from the arrays when asked
-for: plain Python ints, floats and strings, and None for a null. A NaN input
-cell is a null cell, as in pandas and SQL, so no column holds NaN.
+once, as arrays with one null mask (see ``Column``). Cells are rebuilt from
+the arrays when asked for: plain Python ints, floats and strings, and None
+for a null. A NaN input cell is a null cell, as in pandas and SQL, so no
+column holds NaN. Grouping and the bootstrap's row order both sort on each
+column's one numbering, in sqlite's order (``Column.codes``), so slices come
+in the SQL's ``ORDER BY`` order.
 
 CSV with no quote, carriage return or NUL byte is read in a few numpy passes
 over its bytes (``_cut``). Any other file, and any file that fails a check
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -48,18 +52,19 @@ _SURROGATE = re.compile("[\udc80-\udcff]")
 
 @dataclass(frozen=True, eq=False)
 class Column:
-    """One column: numeric, as values and a null mask, or text, as codes into levels.
+    """One column: numeric, as values, or text, as codes into levels, and a null mask.
 
     A numeric column's ``data`` is int64, or float64 when a cell is a float or
-    an int beyond int64; ``null`` marks its null cells and is None when it has
-    none. A text column's ``data`` indexes ``levels``, its distinct cells
-    (strings, and None for a null) in first-appearance order.
+    an int beyond int64. A text column's ``data`` indexes ``levels``, its
+    distinct strings in first-appearance order. ``null`` marks the null cells
+    of either kind, and is None when there are none; the data under a null is
+    a placeholder (0, or -1 in a text column).
     """
 
     name: str
     data: np.ndarray
     null: np.ndarray | None = None
-    levels: tuple[str | None, ...] | None = None
+    levels: tuple[str, ...] | None = None
 
     @classmethod
     def from_cells(cls, name: str, cells: Iterable[Cell]) -> "Column":
@@ -88,50 +93,36 @@ class Column:
     @property
     def values(self) -> tuple[Cell, ...]:
         """The cells, rebuilt from the arrays."""
-        if self.levels is not None:
-            return tuple(map(self.levels.__getitem__, self.data.tolist()))
         cells = self.data.tolist()
+        if self.levels is not None:
+            cells = list(map(self.levels.__getitem__, cells))
         if self.null is not None:
             for i in np.flatnonzero(self.null).tolist():
                 cells[i] = None
         return tuple(cells)
 
-    def nulls(self) -> np.ndarray | None:
-        """Mask of the null cells, or None when the column can have none."""
-        if self.levels is None or None not in self.levels:
-            return self.null
-        return self.data == self.levels.index(None)
-
+    @functools.cached_property
     def codes(self) -> tuple[np.ndarray, int]:
-        """Integer codes, equal cells sharing one, and their bound; some may be unused.
+        """Each cell's code in sqlite's ascending order, and the codes' bound.
 
-        A numeric column is numbered on each call: 0.0 and -0.0 share a code,
-        and nulls one more.
+        Nulls are 0; then numbers by value (0.0 and -0.0 share a code), or
+        text by code point, which is sqlite's BINARY order on UTF-8. Equal
+        cells share a code, and some codes below the bound may be unused.
+        Numbered on first use and kept: a column never changes.
         """
-        if self.levels is not None:
-            return self.data, len(self.levels)
-        uniques, codes = np.unique(self.data, return_inverse=True)
-        if self.null is None:
-            return codes, len(uniques)
-        return np.where(self.null, len(uniques), codes), len(uniques) + 1
+        if self.levels is None:
+            uniques, codes = np.unique(self.data, return_inverse=True)
+        else:  # a level's code is its rank
+            uniques = sorted(range(len(self.levels)), key=self.levels.__getitem__)
+            codes = np.argsort(uniques)[self.data]
+        codes += 1
+        if self.null is not None:
+            codes[self.null] = 0
+        return codes, len(uniques) + 1
 
     def take(self, rows: np.ndarray) -> "Column":
         null = None if self.null is None else self.null[rows]
         return Column(self.name, self.data[rows], null, self.levels)
-
-    def sql_order(self) -> list[np.ndarray]:
-        """``np.lexsort`` keys, least significant first, for sqlite's ascending order.
-
-        Nulls come first, then numbers by value, or text by code point, which
-        is sqlite's BINARY order on UTF-8.
-        """
-        if self.levels is not None:
-            ranked = sorted(range(len(self.levels)),
-                            key=lambda i: (self.levels[i] is not None, self.levels[i] or ""))
-            rank = np.empty(len(ranked), dtype=np.intp)
-            rank[ranked] = np.arange(len(ranked))
-            return [rank[self.data]]
-        return [self.data] if self.null is None else [self.data, ~self.null]
 
 
 def _numeric(name: str, numbers: list, ints: bool, null: np.ndarray | None) -> Column:
@@ -144,12 +135,12 @@ def _numeric(name: str, numbers: list, ints: bool, null: np.ndarray | None) -> C
 
 def _text(name: str, cells: list, null: str | None = None) -> Column:
     """A text column of ``cells``; the cell ``null`` is a null."""
-    index = dict(zip(dict.fromkeys(cells), itertools.count()))
+    levels = dict.fromkeys(cells)
+    levels.pop(null, None)
+    index = {**dict(zip(levels, itertools.count())), null: -1}
     codes = np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))
-    levels = list(index)
-    if null in index:
-        levels[index[null]] = None
-    return Column(name, codes, levels=tuple(levels))
+    mask = codes < 0
+    return Column(name, codes, mask if mask.any() else None, tuple(levels))
 
 
 def _typed(name: str, cells: list[str], joined: str) -> Column:
@@ -441,37 +432,33 @@ def group_rows(table: Table, split_by: list[str] | tuple[str, ...]) -> dict[tupl
     """Row indices of each slice, keyed by tuples of dimension values.
 
     A key's cells follow ``split_by`` and are those of the slice's first row;
-    nulls group like ordinary values. Groups appear in first-appearance order
-    and indices ascend within each group. An empty split produces a single
-    group of every row under the empty key.
+    nulls group like ordinary values. Groups come in key order, sqlite's
+    ascending ``ORDER BY`` over ``split_by`` (``Column.codes``), and indices
+    ascend within each group. An empty split produces a single group of every
+    row under the empty key.
 
     Each row's group id is a mixed-radix number over the split columns' codes,
-    made dense again whenever the id space outgrows the row count.
+    made dense again whenever the id space outgrows the row count; either way
+    ids sort as keys do.
     """
     n = table.row_count
     if not split_by:
         return {(): np.arange(n)}
     columns = [table.column(name) for name in split_by]
-    ids, size = columns[0].codes()
+    ids, size = columns[0].codes
     for col in columns[1:]:
-        codes, card = col.codes()
+        codes, card = col.codes
         ids, size = ids * card + codes, size * card
         if size > n:  # keep the id space, and so the arrays below, within O(n)
             uniques, ids = np.unique(ids, return_inverse=True)
             size = len(uniques)
-    first = np.full(size, n, dtype=np.intp)
-    first[ids[::-1]] = np.arange(n - 1, -1, -1)  # the last write, the first row, wins
-    slices = np.flatnonzero(first < n)
-    slices = slices[np.argsort(first[slices])]
-    rank = np.empty(size, dtype=np.intp)
-    rank[slices] = np.arange(len(slices))
-    of_row = rank[ids]
     # A stable sort of uint16 keys is a radix sort.
-    order = np.argsort(of_row.astype(np.uint16) if len(slices) < 1 << 16 else of_row,
-                       kind="stable")
-    bounds = np.cumsum(np.bincount(of_row, minlength=len(slices)))[:-1]
-    keys = zip(*(col.take(first[slices]).values for col in columns))
-    return dict(zip(keys, np.split(order, bounds)))
+    order = np.argsort(ids.astype(np.uint16) if size <= 1 << 16 else ids, kind="stable")
+    sizes = np.bincount(ids)
+    sizes = sizes[sizes > 0]
+    ends = np.cumsum(sizes)
+    keys = zip(*(col.take(order[ends - sizes]).values for col in columns))
+    return dict(zip(keys, np.split(order, ends[:-1])))
 
 
 # The draw hash works on 30-bit integers, so every intermediate of a round
@@ -496,7 +483,7 @@ def draw_order(table: Table, split_by, columns) -> tuple[np.ndarray, np.ndarray,
 
     ``rows`` holds the slices of ``group_rows(table, split_by)`` one after
     another. Within a slice, rows sort by ``columns`` in turn, each in
-    sqlite's ascending order (``Column.sql_order``), as SQL's
+    sqlite's ascending order (``Column.codes``), as SQL's
     ``ROW_NUMBER() OVER (PARTITION BY split_by ORDER BY columns)``; rows that
     tie are equal in every one of ``columns``. ``row_number`` (from 1) and
     ``slice_size`` are each row's, as in the SQL's Data table.
@@ -504,7 +491,7 @@ def draw_order(table: Table, split_by, columns) -> tuple[np.ndarray, np.ndarray,
     slices = list(group_rows(table, split_by).values())
     sizes = np.array([len(rows) for rows in slices], dtype=np.int64)
     rows = np.concatenate(slices) if slices else np.arange(0)
-    keys = [key[rows] for name in reversed(columns) for key in table.column(name).sql_order()]
+    keys = [table.column(name).codes[0][rows] for name in reversed(columns)]
     rows = rows[np.lexsort(keys + [np.repeat(np.arange(len(slices)), sizes)])]
     starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
     return rows, np.arange(1, len(rows) + 1, dtype=np.int64) - starts, np.repeat(sizes, sizes)

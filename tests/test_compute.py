@@ -31,9 +31,11 @@ from slicemetrics import (
     compute_on,
 )
 from slicemetrics.compute import eval_composite, eval_leaf
+from slicemetrics.dsl import set_n_rep
+from slicemetrics.metrics import walk
 from slicemetrics.table import group_rows, resample_with_replacement
 
-from helpers import random_table
+from helpers import random_pipeline, random_table
 
 
 def one_column(values) -> Table:
@@ -230,6 +232,17 @@ class TestDistribution:
     def test_key_columns_order(self, mixed):
         frame = compute_on(Count("v") | Distribution("h"), mixed, ("g",))
         assert frame.key_columns == ("g", "h")
+
+    def test_share_does_not_depend_on_row_order(self):
+        # A slice's total is the exact sum of its values (2**-55 here), which
+        # a running float sum rounds differently in each row order.
+        rows = [("a", 0.1), ("b", 0.2), ("c", -0.3)]
+        frames = [compute_on(Sum("x") | Distribution("g"),
+                             Table.from_dict({"g": [g for g, _ in order],
+                                              "x": [x for _, x in order]}))
+                  for order in (rows, rows[::-1])]
+        assert frames[0] == frames[1]
+        assert dict(frames[0].rows)[("a",)] == (0.1 / 2**-55,)
 
 
 class TestChanges:
@@ -472,6 +485,36 @@ class TestColumnCaches:
                 fresh = Table.from_dict({col.name: col.values for col in part.columns})
                 for metric in self.TREES:
                     assert _outcome(metric, part, split) == _outcome(metric, fresh, split)
+
+
+class TestRowPermutation:
+    # A table's rows are a multiset: permuting them changes no frame, no
+    # warning and no warning's place. Variance and StdDev sum in row order
+    # (np.var), so the trees hold neither; a key cell is its slice's first
+    # row, so the tables hold no -0.0. Text columns mix strings and numbers.
+    NUMBERS = [None, -1, 0, 1, 2, 2.5]
+    CELLS = NUMBERS + ["base", "zero", "a"]
+
+    def test_permuting_rows_changes_no_frame_and_no_warning(self):
+        rng = random.Random(97)
+        frames = 0
+        for _ in range(200):
+            n = rng.randint(0, 12)
+            data = {name: [rng.choice(self.CELLS if rng.random() < 0.3 else self.NUMBERS)
+                           for _ in range(n)] for name in ("alpha", "beta", "gamma")}
+            rows = list(range(n))
+            rng.shuffle(rows)
+            permuted = {name: [cells[i] for i in rows] for name, cells in data.items()}
+            for _ in range(3):
+                metric = random_pipeline(rng)
+                while any(isinstance(node, (Variance, StdDev)) for node in walk(metric)):
+                    metric = random_pipeline(rng)
+                metric = set_n_rep(metric, 5)
+                split = rng.choice([(), ("alpha",), ("beta", "gamma")])
+                want = _outcome(metric, Table.from_dict(data), split)
+                assert _outcome(metric, Table.from_dict(permuted), split) == want, metric
+                frames += isinstance(want, tuple)
+        assert frames >= 200
 
 
 def _outcome(metric, table, split):

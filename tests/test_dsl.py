@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import re
 from pathlib import Path
@@ -216,6 +217,9 @@ class TestPrint:
             "sum(x) * -1.0 + -2.0",
             "mean(x) ** -0.5",
             'sum(x) | percent_change(arm, -3) | absolute_change(year, -2.5)',
+            "sum(x) * 1e999",
+            "sum(x) * -1e999",
+            "sum(x) | percent_change(g, 1e999)",
         ],
     )
     def test_round_trip_fixpoint(self, src):
@@ -259,6 +263,21 @@ class TestPrint:
         text = print_metric(metric)
         assert text == src
         assert parse(text, seed=7).metrics[0] == metric
+
+    def test_infinities_print_as_overflowing_literals(self):
+        assert print_metric(Sum("x") * math.inf) == "sum(x) * 1e999"
+        assert print_metric(Sum("x") | PercentChange("g", -math.inf)) == (
+            "sum(x) | percent_change(g, -1e999)")
+        # An int beyond float64 is no infinity: it prints as itself.
+        assert print_metric(Sum("x") | PercentChange("g", 10**400)) == (
+            f"sum(x) | percent_change(g, {10**400})")
+
+    @pytest.mark.parametrize("metric", [
+        Sum("x") * math.nan, Sum("x") ** math.nan, Sum("x") | AbsoluteChange("g", math.nan),
+    ], ids=["constant", "exponent", "baseline"])
+    def test_nan_has_no_spelling(self, metric):
+        with pytest.raises(ValueError, match="a NaN has no DSL spelling"):
+            print_metric(metric)
 
     def test_subtraction_keeps_grouping(self):
         metric = parse("sum(a) - (count(b) - count(c))").metrics[0]

@@ -136,12 +136,16 @@ TABLE = Table.from_dict({"g": ["a", "b"], "x": [1.0, 2.0]})
     (lambda: "a" - Sum("x"), "cannot use 'a' as a metric"),
     (lambda: Sum("x") + True, "cannot use True as a metric"),
     (lambda: Sum("x") | 3, "can only pipe into an operation, not int"),
+    (lambda: 3 | Sum("x"), "can only pipe into an operation, not Sum"),
+    (lambda: 3 | Bootstrap(2), "bootstrap child must be a metric, got 3"),
+    (lambda: -Sum("x"), "a metric has no unary minus; write -1 * metric"),
     (lambda: pipe(3, Bootstrap(2)), "bootstrap child must be a metric, got 3"),
     (lambda: Sum("x").set_names([3]), "a metric's name must be a str, got 3"),
     (lambda: set_n_rep(Sum("x") | Bootstrap(5), 0),
      "bootstrap n_rep must be a positive integer, got 0"),
 ], ids=["compute_on_number", "compute_on_list_item", "to_sql_number", "bind_none",
         "to_sql_bad_leaf", "mul_text", "rsub_text", "add_bool", "pipe_into_number",
+        "ror_number", "ror_into_template", "negate",
         "pipe_number", "set_names_number", "set_n_rep_zero"])
 def test_entry_points_refuse_a_non_metric(call, message):
     assert _raises_exactly(BindError, call) == message

@@ -35,7 +35,7 @@ from slicemetrics.table import (
     write_csv,
 )
 
-from helpers import random_table
+from helpers import load_table, random_table
 
 
 class TestReadCsv:
@@ -392,7 +392,7 @@ class TestNanIsNull:
     def test_a_nan_cell_in_a_text_column_is_null_not_nan_text(self):
         column = Column.from_cells("s", ["a", float("nan"), "nan"])
         assert column.values == ("a", None, "nan")
-        assert column.nulls().tolist() == [False, True, False]
+        assert column.null.tolist() == [False, True, False]
 
     def test_no_column_holds_nan(self):
         rng = random.Random(31)
@@ -427,12 +427,37 @@ class TestNanIsNull:
                 check(columns)
 
 
+class TestCodes:
+    def test_codes_number_cells_as_sqlite_orders_them(self):
+        # Grouping and the draw order sort on these codes, so they must rank
+        # cells as sqlite's ORDER BY does and tie exactly the cells it ties.
+        rng = random.Random(33)
+        pools = [[None, -1, 0, 2, 10], [None, 0.0, -0.0, 1.5, -2.5, 7, 1e300],
+                 [None, "b", "B", "\u00e9", "a b", "", "10", "9", "\U0001f600"]]
+        for _ in range(150):
+            pool = rng.choice(pools)
+            n = rng.randint(0, 12)
+            t = Table.from_dict({"i": list(range(n)), "c": [rng.choice(pool) for _ in range(n)]})
+            codes, bound = t.column("c").codes
+            assert t.column("c").codes[0] is codes  # numbered once
+            assert all(0 <= code < bound for code in codes.tolist())
+            assert all((code == 0) == (cell is None)
+                       for code, cell in zip(codes.tolist(), t.column("c").values))
+            con = sqlite3.connect(":memory:")
+            load_table(con, "t", t)
+            want = [i for (i,) in con.execute("SELECT i FROM t ORDER BY c, i")]
+            assert sorted(range(n), key=lambda i: (codes[i], i)) == want
+            ties = set(con.execute("SELECT a.i, b.i FROM t a, t b WHERE a.c IS b.c"))
+            assert {(i, j) for i in range(n) for j in range(n) if codes[i] == codes[j]} == ties
+            con.close()
+
+
 class TestGroupRows:
     def test_figure_table_by_region(self, fig2):
         groups = group_rows(fig2, ["region"])
         sizes = {key[0]: len(indices) for key, indices in groups.items()}
         assert sizes == {"US": 4, "EU": 2}
-        assert list(groups) == [("US",), ("EU",)]  # first appearance
+        assert list(groups) == [("EU",), ("US",)]  # key order
 
     def test_empty_split_is_one_group(self, fig2):
         groups = group_rows(fig2, [])
@@ -506,13 +531,14 @@ class TestGroupRows:
 
 
 def _reference_groups(table, split):
-    """Row indices per key tuple, in first-appearance order, by a plain dict."""
+    """Row indices per key tuple, in sqlite's key order, by a plain dict."""
     if not split:
         return {(): list(range(table.row_count))}
     groups = {}
     for i, key in enumerate(zip(*(table.column(name).values for name in split))):
         groups.setdefault(key, []).append(i)
-    return groups
+    # Each column holds one kind, so a cell compares only with its own kind.
+    return dict(sorted(groups.items(), key=lambda group: [(v is not None, v) for v in group[0]]))
 
 
 class TestCsvRoundTrip:
