@@ -14,7 +14,9 @@ context.
 Every metric has one value per slice. Arithmetic on result frames follows the
 pointwise rule: frames are joined on their common key columns, the two sides'
 values combine, scalars broadcast, and anything that cannot be aligned yields
-NaN rather than an error.
+NaN rather than an error. Where the backends could differ, compute takes SQL's
+rule: x/0 is x * inf for a zero of either sign, every aggregate but Count is
+NaN (NULL) over no values, and a standard error is an exact two-pass SD.
 """
 
 from __future__ import annotations
@@ -137,27 +139,31 @@ def _composite_side(side: m.Metric, table, split_by, ctx):
 def eval_leaf(leaf: m._LeafAggregate, values) -> float:
     """Reduce one slice's non-null values of the leaf's column to a float.
 
-    ``values`` is an array, or any sequence of numbers, read as float64.
+    ``values`` is an array, or any sequence of numbers, read as float64. Over
+    no values every aggregate but Count is NaN, as in SQL (NULL).
     """
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     kind = leaf.tag
     if kind == "count":
         return float(n)
+    if not n:
+        return NAN
     if kind == "sum":
         return _sum(values.tolist())
     if kind == "mean":
-        return _sum(values.tolist()) / n if n else NAN
+        return _sum(values.tolist()) / n
     if kind == "min":
-        return min(values.tolist()) if n else NAN  # Python's min: a leading NaN wins
+        return min(values.tolist())  # Python's min: a leading NaN wins
     if kind == "max":
-        return max(values.tolist()) if n else NAN
-    if kind == "variance":
-        return _quiet(np.var, values, ddof=1) if n >= 2 else NAN
-    if kind == "sd":
-        return _quiet(np.std, values, ddof=1) if n >= 2 else NAN
-    if kind == "quantile":
-        return _quiet(np.quantile, values, leaf.q) if n else NAN
+        return max(values.tolist())
+    with np.errstate(all="ignore"):  # numpy sums in row order
+        if kind == "variance":
+            return float(np.var(values, ddof=1)) if n >= 2 else NAN
+        if kind == "sd":
+            return float(np.std(values, ddof=1)) if n >= 2 else NAN
+        if kind == "quantile":
+            return float(np.quantile(values, leaf.q))
     raise TypeError(f"unknown leaf aggregate: {kind!r}")
 
 
@@ -176,7 +182,8 @@ _ARITH = {
     "add": np.add,
     "sub": np.subtract,
     "mul": np.multiply,
-    "div": np.divide,
+    # x/0 is x * inf for a zero of either sign, as the SQL's CASE WHEN b = 0
+    "div": lambda a, b: a * np.inf if b == 0 else a / b,
     "pow": np.power,
 }
 
@@ -353,21 +360,17 @@ def _replicate_se(node, tables, se, split_by, ctx: EvalContext) -> ResultFrame:
     return ResultFrame(split_by + node.extra_dims(), node.names(), rows)
 
 
-def _quiet(fn, *args, **kwargs) -> float:
-    with np.errstate(all="ignore"):
-        return float(fn(*args, **kwargs))
-
-
 def _sample_sd(values: list[float]) -> float:
-    if len(values) < 2:
-        return NAN
-    return _quiet(np.std, values, ddof=1)
+    k = len(values)
+    return math.sqrt(_sum_of_squares(values) / (k - 1)) if k >= 2 else NAN
 
 
 def _jackknife_se(estimates: list[float]) -> float:
     k = len(estimates)
-    if k < 2:
-        return NAN
-    mean = math.fsum(estimates) / k
-    ss = math.fsum((e - mean) ** 2 for e in estimates)
-    return math.sqrt((k - 1) / k * ss)
+    return math.sqrt((k - 1) / k * _sum_of_squares(estimates)) if k >= 2 else NAN
+
+
+def _sum_of_squares(values: list[float]) -> float:
+    """The exact two-pass sum of squared deviations from the mean."""
+    mean = _sum(values) / len(values)
+    return _sum([(v - mean) * (v - mean) for v in values])

@@ -10,8 +10,8 @@ per replicate by joining seeded row numbers back to it, and aggregates the
 finite per-replicate results with STDDEV. CTE names never equal the source
 table's, so any source name compiles.
 
-Division follows IEEE, as in the compute engine: x/0 is +-inf and 0/0 is
-NULL (NaN). Two dialects are supported. ``portable`` targets engines like
+Division follows the compute engine: x/0 is x * inf for either zero (0/0 is
+NULL). Two dialects are supported. ``portable`` targets engines like
 SQLite: division is a CASE over the denominator with a CAST to REAL, and the
 replicate series is a recursive CTE. ``googlesql`` emits BigQuery style SQL
 (``IEEE_DIVIDE``, ``SELECT * EXCEPT``, ``UNNEST(GENERATE_ARRAY(...))``,
@@ -129,7 +129,7 @@ def _arith_sql(op: str, left: str, right: str, dialect: Dialect) -> str:
     if op == "pow":
         return f"POWER({left}, {right})"
     if op == "div":
-        # IEEE, as in the compute engine: x/0 is +-inf and 0/0 NaN (NULL).
+        # x/0 is x * inf, as in the compute engine; IEEE_DIVIDE(1, -0.0) is -inf.
         if dialect is Dialect.PORTABLE:
             return (f"CASE WHEN {right} = 0 THEN {left} * {_INF}"
                     f" ELSE CAST({left} AS REAL) / {right} END")

@@ -54,11 +54,11 @@ _SURROGATE = re.compile("[\udc80-\udcff]")
 class Column:
     """One column: numeric, as values, or text, as codes into levels, and a null mask.
 
-    A numeric column's ``data`` is int64, or float64 when a cell is a float or
-    an int beyond int64. A text column's ``data`` indexes ``levels``, its
-    distinct strings in first-appearance order. ``null`` marks the null cells
-    of either kind, and is None when there are none; the data under a null is
-    a placeholder (0, or -1 in a text column).
+    A numeric column's ``data`` is int64, or float64 (with no -0.0) when a
+    cell is a float or an int beyond int64. A text column's ``data`` indexes
+    ``levels``, its distinct strings in first-appearance order. ``null``
+    marks the null cells of either kind, and is None when there are none; the
+    data under a null is a placeholder (0, or -1 in a text column).
     """
 
     name: str
@@ -128,9 +128,11 @@ class Column:
 def _numeric(name: str, numbers: list, ints: bool, null: np.ndarray | None) -> Column:
     """A numeric column: int64 when ``ints`` and every number fits, else float64."""
     try:
-        return Column(name, np.array(numbers, dtype=np.int64 if ints else np.float64), null)
+        data = np.array(numbers, dtype=np.int64 if ints else np.float64)
     except OverflowError:  # an int beyond int64
-        return Column(name, np.array(numbers, dtype=np.float64), null)
+        data = np.array(numbers, dtype=np.float64)
+    data += 0  # -0.0 is 0.0, as sqlite stores it in a REAL column
+    return Column(name, data, null)
 
 
 def _text(name: str, cells: list, null: str | None = None) -> Column:

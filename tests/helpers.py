@@ -199,6 +199,21 @@ def _random_expr(rng: random.Random, depth: int):
     return combine(op, left, right)
 
 
+def random_pipeline_table(rng: random.Random) -> Table:
+    """0-20 rows over random_pipeline's columns: cells from -1, 0, 1, 2, 2.5, 10% null."""
+    n = rng.randint(0, 20)
+    return Table.from_dict({
+        name: [None if rng.random() < 0.1 else rng.choice([-1, 0, 1, 2, 2.5])
+               for _ in range(n)]
+        for name in _COLUMNS
+    })
+
+
+def random_split(rng: random.Random) -> tuple[str, ...]:
+    """0-2 of random_pipeline's columns."""
+    return tuple(rng.sample(_COLUMNS, rng.randint(0, 2)))
+
+
 def random_pipeline(rng: random.Random):
     metric = _random_expr(rng, 2)
     if rng.random() < 0.4:

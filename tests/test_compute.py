@@ -32,10 +32,10 @@ from slicemetrics import (
 )
 from slicemetrics.compute import eval_composite, eval_leaf
 from slicemetrics.dsl import set_n_rep
-from slicemetrics.metrics import walk
+from slicemetrics.metrics import ScalarLiteral, walk
 from slicemetrics.table import group_rows, resample_with_replacement
 
-from helpers import random_pipeline, random_table
+from helpers import random_pipeline, random_pipeline_table, random_split, random_table
 
 
 def one_column(values) -> Table:
@@ -62,11 +62,11 @@ class TestEvalLeaf:
         assert frame.single_value() == 0.5
 
     def test_empty_table_conventions(self):
-        empty = one_column([])
-        assert compute_on(Count("x"), empty).single_value() == 0.0
-        assert math.isnan(compute_on(Mean("x"), empty).single_value())
-        assert compute_on(Sum("x"), empty).single_value() == 0.0
-        assert math.isnan(compute_on(Min("x"), empty).single_value())
+        # SQL's rule: every aggregate but Count is NULL (NaN) over no values.
+        for table in (one_column([]), one_column([None, None])):
+            assert compute_on(Count("x"), table).single_value() == 0.0
+            for leaf in (Sum("x"), Mean("x"), Min("x"), Max("x"), Quantile("x", 0.5)):
+                assert math.isnan(compute_on(leaf, table).single_value())
 
     def test_variance_single_value_is_nan(self):
         assert math.isnan(compute_on(Variance("x"), one_column([4.0])).single_value())
@@ -156,16 +156,30 @@ class TestComposite:
         assert compute_on(Sum("y") / Sum("x"), t).single_value() > 0
 
     def test_pointwise_rule_matches_eval_composite(self):
+        # compute(a op b) is compute(a) op compute(b), joined on keys; a bare
+        # constant broadcasts as a scalar, and of two it is the left that
+        # becomes a frame.
         rng = random.Random(17)
-        for _ in range(30):
-            t = random_table(rng, null_rate=0.1)
+        compared = 0
+        for _ in range(400):
+            a, b = (set_n_rep(random_pipeline(rng), 5) for _ in range(2))
             op = rng.choice(["add", "sub", "mul", "div"])
-            a, b = Mean("x"), Sum("y")
-            combined = compute_on(combine(op, a, b), t, ("g1",))
-            separate = eval_composite(
-                op, compute_on(a, t, ("g1",)), compute_on(b, t, ("g1",))
-            )
-            assert dict(combined.rows) == dict(separate.rows)
+            t = random_pipeline_table(rng)
+            split = random_split(rng)
+            try:
+                combined = compute_on(combine(op, a, b), t, split)
+                sides = [side.value if isinstance(side, ScalarLiteral)
+                         and side.names_override is None else compute_on(side, t, split)
+                         for side in (a, b)]
+            except MetricsError:
+                continue
+            if all(isinstance(side, float) for side in sides):
+                sides[0] = compute_on(a, t, split)
+            separate = eval_composite(op, *sides)
+            assert combined.key_columns == separate.key_columns
+            assert _nan_aware(combined.rows) == _nan_aware(separate.rows), (a, op, b, split)
+            compared += 1
+        assert compared >= 100
 
     def test_scalar_broadcast_matches_eval_composite(self, mixed):
         combined = compute_on(Sum("v") * 2.0, mixed, ("h",))
@@ -414,6 +428,23 @@ class TestJackknife:
             se = compute_on(Mean("x") | Jackknife("u"), t).single_value()
             assert se == pytest.approx(2.848, abs=5e-4)
 
+    def test_a_unit_that_empties_a_slice_drops_its_replicate(self):
+        # Leaving out unit a leaves slice p only a null x: its Sum is NaN, a
+        # non-finite replicate, so p's SE reads the other two (1 and 1).
+        t = Table.from_dict({"g": ["p", "p", "q", "q", "q"], "u": ["a", "b", "a", "b", "c"],
+                             "x": [1, None, 1, 2, 4]})
+        ctx = EvalContext()
+        frame = dict(compute_on(Sum("x") | Jackknife("u"), t, ("g",), ctx).rows)
+        assert frame[("p",)] == (0.0,) and frame[("q",)][0] > 0
+        assert [(w.kind, w.message) for w in ctx.warnings] == [
+            ("nonfinite_replicate", "dropped 1 non-finite replicate values for slice ('p',)")]
+
+    def test_a_negative_zero_key_cell_is_zero(self):
+        # -0.0 is stored as 0.0, so every replicate keys the slice (0.0,).
+        t = Table.from_dict({"g": [0.0, -0.0, 0.0], "u": ["a", "b", "c"], "x": [1, 2, 4]})
+        frame = compute_on(Sum("x") | Jackknife("u"), t, ("g",))
+        assert repr(frame.rows[0][0]) == "(0.0,)"
+
     def test_single_unit_is_nan(self):
         t = Table.from_dict({"unit": ["a", "a"], "x": [1, 2]})
         assert math.isnan(compute_on(Mean("x") | Jackknife("unit"), t).single_value())
@@ -490,9 +521,8 @@ class TestColumnCaches:
 class TestRowPermutation:
     # A table's rows are a multiset: permuting them changes no frame, no
     # warning and no warning's place. Variance and StdDev sum in row order
-    # (np.var), so the trees hold neither; a key cell is its slice's first
-    # row, so the tables hold no -0.0. Text columns mix strings and numbers.
-    NUMBERS = [None, -1, 0, 1, 2, 2.5]
+    # (np.var), so the trees hold neither. Text columns mix strings and numbers.
+    NUMBERS = [None, -1, -0.0, 0, 1, 2, 2.5]
     CELLS = NUMBERS + ["base", "zero", "a"]
 
     def test_permuting_rows_changes_no_frame_and_no_warning(self):
@@ -515,6 +545,10 @@ class TestRowPermutation:
                 assert _outcome(metric, Table.from_dict(permuted), split) == want, metric
                 frames += isinstance(want, tuple)
         assert frames >= 200
+
+
+def _nan_aware(rows):
+    return {key: tuple("nan" if math.isnan(v) else v for v in values) for key, values in rows}
 
 
 def _outcome(metric, table, split):

@@ -507,8 +507,15 @@ class TestBootstrapEquivalence:
 
 
 class TestZeroDenominators:
-    # Division follows IEEE in both backends: x/0 is +-inf and 0/0 is NaN
-    # (NULL in SQL), and a change's baseline rows are 0 whatever their value.
+    # x/0 is x * inf in both backends, as the portable CASE gives, whatever
+    # the zero's sign: +-inf, and NaN (NULL in SQL) for 0/0. A change's
+    # baseline rows are 0 whatever their value.
+
+    def test_a_negative_zero_divisor_is_a_zero(self):
+        t = Table.from_dict({"x": [0], "y": [1]})
+        metric = Sum("y") / (Sum("x") * -1.0)
+        assert compute_on(metric, t).single_value() == math.inf
+        assert_backend_equal(metric, t, ())
 
     def test_percent_change_against_a_zero_baseline(self):
         t = Table.from_dict({"arm": ["c", "c", "t", "u"], "x": [0, 0, 3, 0]})

@@ -427,6 +427,28 @@ class TestNanIsNull:
                 check(columns)
 
 
+class TestNegativeZero:
+    def test_a_negative_zero_cell_is_zero_on_every_path(self):
+        # sqlite stores -0.0 in a REAL column as 0.0, so the table does too.
+        con = sqlite3.connect(":memory:")
+        con.execute("CREATE TABLE d (x REAL)")
+        con.execute("INSERT INTO d VALUES (?)", (-0.0,))
+        assert math.copysign(1, con.execute("SELECT x FROM d").fetchone()[0]) == 1
+        raw = b"g,x\n-0.0,1\n0.0,-0.0\n-0,2.5\n"
+        quoted = raw.replace(b"g", b'"g"', 1)
+
+        def every(header):
+            return range(len(header))
+
+        for columns in (Table.from_dict({"g": [-0.0, 0.0, 0.0], "x": [1, -0.0, 2.5]}).columns,
+                        [Column.from_cells("g", [np.float64(-0.0), 2**70])],
+                        table_module._cut(raw, every)[1],
+                        table_module._parse(quoted, every)[1]):
+            for column in columns:
+                assert column.kind == FLOAT
+                assert not np.signbit(column.data).any(), column.values
+
+
 class TestCodes:
     def test_codes_number_cells_as_sqlite_orders_them(self):
         # Grouping and the draw order sort on these codes, so they must rank
