@@ -66,8 +66,10 @@ def compute_on(
     produce identical key columns. Rows come sorted by key
     (``ResultFrame.sorted_rows``), the order of the SQL's ``ORDER BY``.
     """
+    if not isinstance(table, Table):
+        raise BindError(f"compute_on table must be a Table, got {type(table).__name__}")
     ctx = ctx or EvalContext()
-    split_by = tuple(split_by)
+    split_by = m.split_arg(split_by)
     joint = isinstance(metric, (list, tuple))
     metrics = list(metric) if joint else [metric]  # bind refuses a non-metric
     keys = {m.bind(one, split_by, table.schema) for one in metrics}

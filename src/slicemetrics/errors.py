@@ -24,9 +24,9 @@ class UnknownColumn(MetricsError):
 
 
 class BindError(MetricsError):
-    """A tree that cannot be built or bound: an invalid node argument, a non-metric
-    where a metric belongs, a childless operation, a dimension used twice, or
-    output columns whose names or keys clash."""
+    """A tree that cannot be built or bound: an invalid node or entry-point argument,
+    a non-metric where a metric belongs, a childless operation, a dimension used
+    twice, or output columns whose names or keys clash."""
 
 
 class EmptyInput(MetricsError):

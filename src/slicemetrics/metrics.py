@@ -474,6 +474,13 @@ def columns_read(metric: Metric) -> set[str]:
     return {name for node in walk(metric) for name in node.reads()}
 
 
+def split_arg(split_by) -> tuple[str, ...]:
+    """``split_by`` as a tuple; BindError unless it is a list or tuple of column names."""
+    if not isinstance(split_by, (list, tuple)) or not all(isinstance(d, str) for d in split_by):
+        raise BindError(f"split_by must be a list or tuple of column names, got {split_by!r}")
+    return tuple(split_by)
+
+
 def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
     """Check a tree against its split and, when given, the input's columns.
 
@@ -481,25 +488,21 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
     Each child is checked at the split it is evaluated at, so a distribution
     or change adds its dimension. Raises ``UnknownColumn`` for a column missing
     from ``columns``, ``TypeMismatch`` for a numeric aggregate over a text
-    column of the schema, and ``BindError`` for a non-metric, a repeated
-    dimension, an operation without a child, or a value name that is a key
-    column in the output or in an operation's child frame, where SQL selects
-    both as columns of one query. A tree that passed at a split is not walked again to check
-    it at that split without ``columns``.
+    column of the schema, and ``BindError`` for a non-metric, a ``split_by``
+    other than a list or tuple of names, a repeated dimension, an operation
+    without a child, or an output value name that equals one of its key
+    columns. A tree that passed at a split is not walked again to check it at
+    that split without ``columns``.
     Returns the computed frame's key columns.
     """
     if not isinstance(metric, Metric):
         raise BindError(f"expected a metric, got {metric!r}")
+    split_by = split_arg(split_by)
     kinds = columns if isinstance(columns, Mapping) else {}
 
     def read(name: str):
         if columns is not None and name not in columns:
             raise UnknownColumn(f"no such column: {name!r}")
-
-    def check_names(node: Metric, split: tuple[str, ...]):
-        name = node.names()[0]
-        if name in split + node.extra_dims():
-            raise BindError(f"output column {name!r} is already a key column")
 
     def visit(node: Metric, split: tuple[str, ...]):
         if isinstance(node, Operation) and node.child is None:
@@ -512,20 +515,19 @@ def bind(metric: Metric, split_by, columns=None) -> tuple[str, ...]:
             if dim in split:
                 raise BindError(f"{type(node).__name__} over {dim!r}, which is already a key")
             split += (dim,)
-        if isinstance(node, Operation):
-            check_names(node.child, split)
         for child in node.children():
             visit(child, split)
 
-    split_by = tuple(split_by)
     checked = metric.__dict__.setdefault("_checked_splits", set())
+    keys = split_by + metric.extra_dims()
     if columns is None and split_by in checked:  # a tree never changes
-        return split_by + metric.extra_dims()
+        return keys
     for i, dim in enumerate(split_by):
         read(dim)
         if dim in split_by[:i]:
             raise BindError(f"split_by names {dim!r} twice")
     visit(metric, split_by)
-    check_names(metric, split_by)
+    if metric.names()[0] in keys:
+        raise BindError(f"output column {metric.names()[0]!r} is already a key column")
     checked.add(split_by)
-    return split_by + metric.extra_dims()
+    return keys

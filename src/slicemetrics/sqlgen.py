@@ -7,8 +7,9 @@ divides by a window sum, changes join the child against a baseline
 selection, and bootstrap numbers the rows of each slice once in a temp
 table (the preamble), ordered by the columns the child reads, draws rows
 per replicate by joining seeded row numbers back to it, and aggregates the
-finite per-replicate results with STDDEV. CTE names never equal the source
-table's, so any source name compiles.
+finite per-replicate results with STDDEV. A CTE, temp table or column the
+SQL adds takes its role's name (a value's is its metric's), or the first
+free ``role2``, ``role3``, ... where a name in scope has it in any case.
 
 Division follows the compute engine: x/0 is x * inf for either zero (0/0 is
 NULL). Two dialects are supported. ``portable`` targets engines like
@@ -30,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from . import metrics as m
-from .errors import NestedBootstrap, UnsupportedInDialect
+from .errors import BindError, NestedBootstrap, UnsupportedInDialect
 from .table import MULTIPLIER, ROUNDS, STATES, Cell, format_cell, mix
 
 
@@ -120,9 +121,20 @@ def _wrap(expr: str, node: m.Metric) -> str:
     return f"({expr})" if isinstance(node, m.Composite) else expr
 
 
-def _name(metric: m.Metric, dialect: Dialect) -> str:
-    """The quoted column name of the metric's one value."""
-    return quote_ident(metric.names()[0], dialect)
+def _free(role: str, taken: set[str]) -> str:
+    """The first of ``role``, ``role2``, ``role3``, ... whose lowercase is not in
+    ``taken``, a set of lowercase names; ``taken`` then holds it."""
+    name, i = role, 1
+    while name.lower() in taken:
+        i += 1
+        name = f"{role}{i}"
+    taken.add(name.lower())
+    return name
+
+
+def _value_name(child: m.Metric, keys: tuple[str, ...]) -> str:
+    """The column of ``child``'s value in the CTE whose key columns are ``keys``."""
+    return _free(child.names()[0], {key.lower() for key in keys})
 
 
 def _arith_sql(op: str, left: str, right: str, dialect: Dialect) -> str:
@@ -155,13 +167,16 @@ def _leaf_sql(leaf: m._LeafAggregate, dialect: Dialect) -> str:
     raise UnsupportedInDialect(f"no SQL translation for aggregate {leaf.tag!r}")
 
 
-def sql_aggregate(metric: m.Metric, data: str, dims: list[str] | tuple[str, ...], dialect: Dialect) -> str:
+def sql_aggregate(metric: m.Metric, data: str, dims: list[str] | tuple[str, ...], dialect: Dialect,
+                  name: str | None = None) -> str:
     """Aggregation query: SELECT dims, expr AS name FROM data GROUP BY dims.
 
-    A constant without dims reads no table: one row, as compute_on gives.
+    ``name`` is the value column's, by default the metric's. A constant
+    without dims reads no table: one row, as compute_on gives.
     """
     quoted = [quote_ident(d, dialect) for d in dims]
-    cols = quoted + [f"{sql_expr(metric, dialect)} AS {_name(metric, dialect)}"]
+    alias = quote_ident(metric.names()[0] if name is None else name, dialect)
+    cols = quoted + [f"{sql_expr(metric, dialect)} AS {alias}"]
     query = f"SELECT {', '.join(cols)}"
     if dims:
         query += f" FROM {data} GROUP BY {', '.join(quoted)}"
@@ -175,7 +190,7 @@ class _Statement:
 
     A CTE, and the bootstrap's temp table, takes its role's name, or the
     first free ``role2``, ``role3``, ... where an earlier name or the source
-    table (quotes stripped) has that name in any case.
+    table (quotes stripped) has that name in any case (``_free``).
     """
 
     def __init__(self, source: str):
@@ -185,12 +200,7 @@ class _Statement:
         self._taken = {source.strip('"`').lower()}
 
     def name(self, role: str) -> str:
-        name, i = role, 1
-        while name.lower() in self._taken:
-            i += 1
-            name = f"{role}{i}"
-        self._taken.add(name.lower())
-        return name
+        return _free(role, self._taken)
 
     def add(self, role: str, query: str) -> str:
         """Append ``query`` as a CTE for ``role``; return the name it got."""
@@ -216,61 +226,67 @@ def to_sql(
     the operation-introduced dimensions, outermost first. It selects them
     first and ends with ``ORDER BY`` over their positions, so its rows come in
     ``compute_on``'s order. Its text is at most one ``WITH`` list, whose CTE
-    names are unique and differ from ``data``, followed by the final SELECT.
-    Bootstrap adds the statements that fill the temp table ``Data`` to the
-    preamble (``Data2`` where ``data`` is the name data, in any case);
-    Jackknife has no SQL form. ``dialect`` is a Dialect or its value; any
-    other raises UnsupportedInDialect.
+    names are unique and differ from ``data``, followed by the final SELECT,
+    the only one that names its value as the metric does. Bootstrap adds the
+    statements that fill the temp table ``Data`` to the preamble (``Data2``
+    where ``data`` is the name data, in any case); Jackknife has no SQL form.
+    ``data`` is a str; ``dialect`` is a Dialect or its value, and any other
+    raises UnsupportedInDialect.
     """
+    if not isinstance(data, str):
+        raise BindError(f"to_sql data must be a table name, got {data!r}")
     if not isinstance(dialect, Dialect):
         try:
             dialect = Dialect(dialect)
         except ValueError:
             raise UnsupportedInDialect(f"unknown dialect {dialect!r}") from None
-    split_by = tuple(split_by)
+    split_by = m.split_arg(split_by)
     key_columns = m.bind(metric, split_by)
     stmt = _Statement(data)
-    text = stmt.text(_node_to_sql(metric, data, split_by, dialect, stmt))
+    text = stmt.text(_node_to_sql(metric, data, split_by, dialect, stmt, metric.names()[0]))
     if key_columns:  # by position: under a change, a bare key name is ambiguous
         text += " ORDER BY " + ", ".join(map(str, range(1, len(key_columns) + 1)))
     return SqlQuery(text, key_columns, metric.names(), tuple(stmt.preamble))
 
 
 def _node_to_sql(metric: m.Metric, data: str, split_by: tuple[str, ...], dialect: Dialect,
-                 stmt: _Statement) -> str:
-    """The SELECT of ``metric`` over ``data``; its CTEs go to ``stmt``."""
+                 stmt: _Statement, name: str) -> str:
+    """The SELECT of ``metric`` over ``data``, its value named ``name``; its CTEs go to ``stmt``."""
     if isinstance(metric, m.Jackknife):
         raise UnsupportedInDialect("jackknife has no SQL generation; use the compute engine")
     if isinstance(metric, m.Distribution):
-        return _distribution_sql(metric, data, split_by, dialect, stmt)
+        return _distribution_sql(metric, data, split_by, dialect, stmt, name)
     if isinstance(metric, m._ChangeOperation):
-        return _change_sql(metric, data, split_by, dialect, stmt)
+        return _change_sql(metric, data, split_by, dialect, stmt, name)
     if isinstance(metric, m.Bootstrap):
-        return _bootstrap_sql(metric, data, split_by, dialect, stmt)
+        return _bootstrap_sql(metric, data, split_by, dialect, stmt, name)
     if isinstance(metric, m.Operation):
         raise UnsupportedInDialect(f"no SQL generation for {type(metric).__name__}")
-    return sql_aggregate(metric, data, split_by, dialect)
+    return sql_aggregate(metric, data, split_by, dialect, name)
 
 
-def _distribution_sql(node: m.Distribution, data, split_by, dialect, stmt):
-    t = stmt.add("T", _node_to_sql(node.child, data, split_by + (node.over,), dialect, stmt))
+def _distribution_sql(node: m.Distribution, data, split_by, dialect, stmt, name):
     dims = split_by + node.extra_dims()
+    value = _value_name(node.child, dims)
+    child = _node_to_sql(node.child, data, split_by + (node.over,), dialect, stmt, value)
+    t = stmt.add("T", child)
     partition = [quote_ident(d, dialect) for d in dims if d != node.over]
     over = f"PARTITION BY {', '.join(partition)}" if partition else ""
-    value = _name(node.child, dialect)
+    value = quote_ident(value, dialect)
     share = _arith_sql("div", value, f"SUM({value}) OVER ({over})", dialect)
-    cols = [quote_ident(d, dialect) for d in dims] + [f"{share} AS {_name(node, dialect)}"]
+    cols = [quote_ident(d, dialect) for d in dims] + [f"{share} AS {quote_ident(name, dialect)}"]
     return f"SELECT {', '.join(cols)} FROM {t}"
 
 
-def _change_sql(node: m._ChangeOperation, data, split_by, dialect, stmt):
-    child = _node_to_sql(node.child, data, split_by + (node.condition,), dialect, stmt)
-    t = stmt.add("T", child)
+def _change_sql(node: m._ChangeOperation, data, split_by, dialect, stmt, name):
     dims = split_by + node.extra_dims()
+    value = _value_name(node.child, dims)
+    child = _node_to_sql(node.child, data, split_by + (node.condition,), dialect, stmt, value)
+    t = stmt.add("T", child)
     join_dims = [d for d in dims if d != node.condition]
     condition = quote_ident(node.condition, dialect)
     is_baseline = "IS NULL" if node.baseline is None else f"= {literal(node.baseline, dialect)}"
-    value = _name(node.child, dialect)
+    value = quote_ident(value, dialect)
     quoted = [quote_ident(d, dialect) for d in join_dims]
     google = dialect is Dialect.GOOGLESQL
     base_cols = f"* EXCEPT ({condition})" if google else ", ".join(quoted + [value])
@@ -285,18 +301,16 @@ def _change_sql(node: m._ChangeOperation, data, split_by, dialect, stmt):
     # Baseline rows are 0, as in the compute engine, even where their value is not finite.
     change = f"CASE WHEN {t}.{condition} {is_baseline} THEN 0.0 ELSE {change} END"
     cols = [f"{t}.{quote_ident(d, dialect)}" for d in dims]
-    cols.append(f"{change} AS {_name(node, dialect)}")
+    cols.append(f"{change} AS {quote_ident(name, dialect)}")
     return f"SELECT {', '.join(cols)} FROM {t} LEFT JOIN {base} ON {on}"
 
 
-def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect, stmt):
+def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect, stmt, name):
     child = node.child
     if any(isinstance(n, m.Bootstrap) for n in m.walk(child)):
         raise NestedBootstrap("Bootstrap cannot contain another Bootstrap in SQL generation")
-    columns = node.draw_columns(split_by)
-    _check_bootstrap_names(child, split_by, columns)
-    temp, numbered, samples = _resample_sql(stmt, data, split_by, node.n_rep, dialect,
-                                            node.seed, columns)
+    temp, sample_idx, numbered, samples = _resample_sql(
+        stmt, data, split_by, node.n_rep, dialect, node.seed, node.draw_columns(split_by))
     # Both replace an earlier statement's table; ``temp.`` spares a main table of its name.
     if dialect is Dialect.GOOGLESQL:
         stmt.preamble.append(f"CREATE OR REPLACE TEMP TABLE {temp} AS ({numbered})")
@@ -304,44 +318,20 @@ def _bootstrap_sql(node: m.Bootstrap, data, split_by, dialect, stmt):
         stmt.preamble += [f"DROP TABLE IF EXISTS temp.{temp}",
                           f"CREATE TEMP TABLE {temp} AS {numbered}"]
     samples = stmt.add("Samples", samples)
-    child_text = _node_to_sql(child, samples, split_by + ("sample_idx",), dialect, stmt)
-    sample_res = stmt.add("SampleRes", child_text)
     dims = split_by + node.extra_dims()
+    value = _value_name(child, dims + (sample_idx,))
+    child_text = _node_to_sql(child, samples, split_by + (sample_idx,), dialect, stmt, value)
+    sample_res = stmt.add("SampleRes", child_text)
     quoted = [quote_ident(d, dialect) for d in dims]
     # Only finite replicate values count, as in the compute engine.
-    value = _name(child, dialect)
+    value = quote_ident(value, dialect)
     google = dialect is Dialect.GOOGLESQL
     finite = f"NOT IS_INF({value}) AND NOT IS_NAN({value})" if google else f"ABS({value}) < {_INF}"
-    cols = quoted + [f"STDDEV(CASE WHEN {finite} THEN {value} END) AS {_name(node, dialect)}"]
-    final = f"SELECT {', '.join(cols)} FROM {sample_res}"
+    se = f"STDDEV(CASE WHEN {finite} THEN {value} END) AS {quote_ident(name, dialect)}"
+    final = f"SELECT {', '.join(quoted + [se])} FROM {sample_res}"
     if quoted:
         final += f" GROUP BY {', '.join(quoted)}"
     return final
-
-
-def _check_bootstrap_names(child: m.Metric, split_by, columns):
-    """Raise if an input or value column takes a name the bootstrap SQL adds.
-
-    Split columns ride unqualified through every level of the draw, so they
-    may take none of its names. The draw reads the rest by table: read columns
-    meet only Data's and Samples' own columns, and the child's value names
-    only the replicate index, a key of every frame under the bootstrap.
-    """
-    frames = [child] + [n.child for n in m.walk(child) if isinstance(n, m.Operation)]
-    clashes = [c for c in split_by if c in _BOOTSTRAP_COLUMNS]
-    clashes += [c for c in columns if c in _SAMPLE_COLUMNS]
-    clashes += [f.names()[0] for f in frames if f.names()[0] == "sample_idx"]
-    if clashes:
-        raise UnsupportedInDialect(
-            f"bootstrap SQL uses the column name {clashes[0]!r} itself; rename that column"
-        )
-
-
-# The columns the bootstrap SQL adds beside the input's: Data numbers each
-# slice's rows, Samples adds the replicate index, and the replicate series
-# carries each replicate's draw state.
-_SAMPLE_COLUMNS = ("row_number", "slice_size", "sample_idx")
-_BOOTSTRAP_COLUMNS = frozenset(_SAMPLE_COLUMNS + ("replicate_state",))
 
 
 def _mod(a: str, dialect: Dialect) -> str:
@@ -375,7 +365,8 @@ def resample_n_times_sql(data: str, split_by: list[str] | tuple[str, ...], n_rep
     replicate_state)`` in a Draws subquery that keeps only the slice keys,
     ``sample_idx`` and a drawn row number, then joins the draws back to Data
     on the keys (null-safe) and the row number. So replicate i of a slice
-    holds slice_size rows drawn with replacement from that slice.
+    holds slice_size rows drawn with replacement from that slice. A split or
+    read column of one of these four names moves it to ``row_number2``, ...
 
     The draw is an integer hash, so the query text alone fixes it: the seed
     is mixed first, each replicate adds its index and mixes again, and each
@@ -385,13 +376,17 @@ def resample_n_times_sql(data: str, split_by: list[str] | tuple[str, ...], n_rep
     draws the same rows.
     """
     stmt = _Statement(data)
-    _, input_data, samples = _resample_sql(stmt, data, split_by, n_rep, dialect, seed, columns)
+    *_, input_data, samples = _resample_sql(stmt, data, split_by, n_rep, dialect, seed, columns)
     return input_data, stmt.text(samples)
 
 
 def _resample_sql(stmt: _Statement, data, split_by, n_rep, dialect, seed, columns):
-    """The temp table's name and ``resample_n_times_sql``'s pair, its CTE added to ``stmt``."""
+    """The temp table's name, the replicate index column's, and
+    ``resample_n_times_sql``'s pair, its CTE added to ``stmt``."""
     temp = stmt.name("Data")
+    taken = {c.lower() for c in (*split_by, *columns)}  # the draw's own columns avoid these
+    roles = ("row_number", "slice_size", "sample_idx", "replicate_state")
+    row_number, slice_size, sample_idx, state = [_free(role, taken) for role in roles]
     by = [quote_ident(d, dialect) for d in split_by]
     by_prefix = (", ".join(by) + ", ") if by else ""
     partition = f"PARTITION BY {', '.join(by)}" if by else ""
@@ -399,34 +394,35 @@ def _resample_sql(stmt: _Statement, data, split_by, n_rep, dialect, seed, column
     numbering = partition + (f" ORDER BY {', '.join(read)}" if read else "")
     # slice_size first: then sqlite sorts the rows once for both windows.
     kept = by + read + [
-        f"COUNT(*) OVER ({partition}) AS slice_size",
-        f"ROW_NUMBER() OVER ({numbering.strip()}) AS row_number",
+        f"COUNT(*) OVER ({partition}) AS {slice_size}",
+        f"ROW_NUMBER() OVER ({numbering.strip()}) AS {row_number}",
     ]
     input_data = f"SELECT {', '.join(kept)} FROM {data}"
     mixed_seed = mix(seed % STATES)
     if dialect is Dialect.GOOGLESQL:
         replicates = stmt.add("Replicates", (
-            f"SELECT sample_idx, {_mix_sql(f'{mixed_seed} + sample_idx', dialect)}"
-            f" AS replicate_state FROM UNNEST(GENERATE_ARRAY(1, {n_rep})) AS sample_idx"
+            f"SELECT {sample_idx}, {_mix_sql(f'{mixed_seed} + {sample_idx}', dialect)}"
+            f" AS {state} FROM UNNEST(GENERATE_ARRAY(1, {n_rep})) AS {sample_idx}"
         ))
     else:
         # A recursive CTE is computed once, not again for every row that reads it.
         replicates = stmt.name("Replicates")
         stmt.recursive = True
         stmt.ctes.append(
-            f"{replicates}(sample_idx, replicate_state) AS ("
-            f"SELECT 1, {mix((mixed_seed + 1) % STATES)}\n  UNION ALL SELECT sample_idx + 1,"
-            f" {_mix_sql(f'{mixed_seed + 1} + sample_idx', dialect)}"
-            f" FROM {replicates} WHERE sample_idx < {n_rep})"
+            f"{replicates}({sample_idx}, {state}) AS ("
+            f"SELECT 1, {mix((mixed_seed + 1) % STATES)}\n  UNION ALL SELECT {sample_idx} + 1,"
+            f" {_mix_sql(f'{mixed_seed + 1} + {sample_idx}', dialect)}"
+            f" FROM {replicates} WHERE {sample_idx} < {n_rep})"
         )
     # The row's hash is uniform on 0..2**30 - 1, so CEILING lands in 1..slice_size.
-    rand = _mix_sql(f"{replicates}.replicate_state + {temp}.row_number", dialect)
+    rand = _mix_sql(f"{replicates}.{state} + {temp}.{row_number}", dialect)
     same = _NULL_SAFE_EQ[dialect]
-    on = [f"Draws.{q} {same} {temp}.{q}" for q in by] + [f"Draws.row_number = {temp}.row_number"]
-    return temp, input_data, (
-        f"SELECT {temp}.*, Draws.sample_idx\nFROM (\n"
-        f"  SELECT {by_prefix}sample_idx,"
-        f" CEILING(({rand} + 1) / {STATES}.0 * slice_size) AS row_number\n"
+    on = [f"Draws.{q} {same} {temp}.{q}" for q in by]
+    on.append(f"Draws.{row_number} = {temp}.{row_number}")
+    return temp, sample_idx, input_data, (
+        f"SELECT {temp}.*, Draws.{sample_idx}\nFROM (\n"
+        f"  SELECT {by_prefix}{sample_idx},"
+        f" CEILING(({rand} + 1) / {STATES}.0 * {slice_size}) AS {row_number}\n"
         f"  FROM {temp} CROSS JOIN {replicates}) AS Draws\n"
         f"JOIN {temp} ON {' AND '.join(on)}"
     )

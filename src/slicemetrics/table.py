@@ -113,16 +113,23 @@ class Column:
         if self.levels is None:
             uniques, codes = np.unique(self.data, return_inverse=True)
         else:  # a level's code is its rank
-            uniques = sorted(range(len(self.levels)), key=self.levels.__getitem__)
-            codes = np.argsort(uniques)[self.data]
+            uniques, codes = self.levels, self.ranks[self.data]
         codes += 1
         if self.null is not None:
             codes[self.null] = 0
         return codes, len(uniques) + 1
 
+    @functools.cached_property
+    def ranks(self) -> np.ndarray:
+        """A text column's levels' ranks by code point, shared by every ``take`` of it."""
+        return np.argsort(sorted(range(len(self.levels)), key=self.levels.__getitem__))
+
     def take(self, rows: np.ndarray) -> "Column":
         null = None if self.null is None else self.null[rows]
-        return Column(self.name, self.data[rows], null, self.levels)
+        column = Column(self.name, self.data[rows], null, self.levels)
+        if self.levels is not None:  # the ranks depend only on the levels
+            column.__dict__["ranks"] = self.ranks
+        return column
 
 
 def _numeric(name: str, numbers: list, ints: bool, null: np.ndarray | None) -> Column:
@@ -270,7 +277,9 @@ def read_header(source: bytes | io.BufferedIOBase) -> tuple[str, ...]:
 
 def _read(source, pick) -> tuple[list[str], list[Column]]:
     """The header, and the typed columns of the header positions ``pick(header)`` names."""
-    raw = source if isinstance(source, bytes) else source.read()
+    raw = source.read() if hasattr(source, "read") else source
+    if not isinstance(raw, bytes):
+        raise ParseError(f"CSV source must be bytes or a binary file, got {type(raw).__name__}")
     read = _cut(raw, pick)
     return _parse(raw, pick) if read is None else read
 

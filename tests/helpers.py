@@ -178,59 +178,60 @@ from slicemetrics import (
 )
 
 
-_COLUMNS = ["alpha", "beta", "gamma"]
+COLUMNS = ("alpha", "beta", "gamma")
 
 
-def _random_leaf(rng: random.Random):
+def _random_leaf(rng: random.Random, columns):
     kind = rng.choice([Sum, Count, Mean, Variance, StdDev])
-    return kind(rng.choice(_COLUMNS))
+    return kind(rng.choice(columns))
 
 
-def _random_expr(rng: random.Random, depth: int):
+def _random_expr(rng: random.Random, depth: int, columns):
     if depth <= 0 or rng.random() < 0.4:
         if rng.random() < 0.15:
             return ScalarLiteral(float(rng.choice([1.0, 2.0, 0.5, 3.25])))
-        return _random_leaf(rng)
+        return _random_leaf(rng, columns)
     op = rng.choice(["add", "sub", "mul", "div"])
-    left = _random_expr(rng, depth - 1)
-    right = _random_expr(rng, depth - 1)
+    left = _random_expr(rng, depth - 1, columns)
+    right = _random_expr(rng, depth - 1, columns)
     if rng.random() < 0.2:
-        return combine("pow", _random_leaf(rng), ScalarLiteral(2.0))
+        return combine("pow", _random_leaf(rng, columns), ScalarLiteral(2.0))
     return combine(op, left, right)
 
 
-def random_pipeline_table(rng: random.Random) -> Table:
-    """0-20 rows over random_pipeline's columns: cells from -1, 0, 1, 2, 2.5, 10% null."""
+def random_pipeline_table(rng: random.Random, columns=COLUMNS) -> Table:
+    """0-20 rows over ``columns``: cells from -1, 0, 1, 2, 2.5, 10% null."""
     n = rng.randint(0, 20)
     return Table.from_dict({
         name: [None if rng.random() < 0.1 else rng.choice([-1, 0, 1, 2, 2.5])
                for _ in range(n)]
-        for name in _COLUMNS
+        for name in columns
     })
 
 
-def random_split(rng: random.Random) -> tuple[str, ...]:
-    """0-2 of random_pipeline's columns."""
-    return tuple(rng.sample(_COLUMNS, rng.randint(0, 2)))
+def random_split(rng: random.Random, columns=COLUMNS) -> tuple[str, ...]:
+    """0-2 of ``columns``."""
+    return tuple(rng.sample(columns, rng.randint(0, 2)))
 
 
-def random_pipeline(rng: random.Random):
-    metric = _random_expr(rng, 2)
+def random_pipeline(rng: random.Random, columns=COLUMNS):
+    """A random tree reading ``columns``, with operations over them."""
+    metric = _random_expr(rng, 2, columns)
     if rng.random() < 0.4:
         metric = metric.set_names([rng.choice(["m", "rate", "the metric"])])
     for _ in range(rng.randint(0, 3)):
         roll = rng.random()
         if roll < 0.3:
-            metric = metric | Distribution(rng.choice(_COLUMNS))
+            metric = metric | Distribution(rng.choice(columns))
         elif roll < 0.6:
             baseline = rng.choice(["base", 0, 2.5])
-            metric = metric | PercentChange(rng.choice(_COLUMNS), baseline)
+            metric = metric | PercentChange(rng.choice(columns), baseline)
         elif roll < 0.8:
-            metric = metric | AbsoluteChange(rng.choice(_COLUMNS), "zero")
+            metric = metric | AbsoluteChange(rng.choice(columns), "zero")
         elif roll < 0.9:
             metric = metric | Bootstrap(rng.randint(1, 500), seed=0)
         else:
-            metric = metric | Jackknife(rng.choice(_COLUMNS))
+            metric = metric | Jackknife(rng.choice(columns))
         if rng.random() < 0.2:
             metric = metric.set_names(["stage"])
     return metric

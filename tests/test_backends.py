@@ -8,6 +8,7 @@ compute takes from SQL.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -17,22 +18,41 @@ from slicemetrics import (
     Bootstrap, Distribution, MetricsError, Sum, Table, compute_on, to_sql,
 )
 from slicemetrics.dsl import set_n_rep
+from slicemetrics.metrics import walk
 
 from helpers import (
-    assert_backend_equal, execute_query, random_pipeline, random_pipeline_table, random_split,
+    COLUMNS, assert_backend_equal, execute_query, random_pipeline, random_pipeline_table,
+    random_split,
 )
 
 
-def _random_case(seed: int):
+def _random_case(seed: int, columns=COLUMNS):
     rng = random.Random(seed)
-    metric = set_n_rep(random_pipeline(rng), 7)
-    return rng, metric, random_pipeline_table(rng), random_split(rng)
+    metric = set_n_rep(random_pipeline(rng, columns), 7)
+    return rng, metric, random_pipeline_table(rng, columns), random_split(rng, columns)
 
 
-def test_random_trees_agree_in_both_backends():
+# Columns named like those the bootstrap SQL adds, and the names half the
+# trees give one of their nodes: those names in another case, or m. sqlite
+# reads names without case, so each column the SQL adds must avoid them all.
+SQL_NAMES = ("Row_Number", "SAMPLE_IDX", "slice_size")
+RENAMES = ("row_number", "Sample_Idx", "SLICE_SIZE", "sample_idx", "Slice_Size", "m")
+
+
+def _renamed(rng: random.Random, metric):
+    """``metric`` with one node, picked at random, renamed to one of RENAMES."""
+    name, at = rng.choice(RENAMES), rng.randrange(sum(1 for _ in walk(metric)))
+    count = itertools.count()
+    return metric.map(lambda node: node.set_names([name]) if next(count) == at else node)
+
+
+def _compare_random_trees(seeds: int, columns=COLUMNS, rename=False) -> int:
+    """How many of the seeds' trees both backends accept; each must agree."""
     compared = 0
-    for seed in range(3000):
-        _, metric, table, split = _random_case(seed)
+    for seed in range(seeds):
+        rng, metric, table, split = _random_case(seed, columns)
+        if rename and rng.random() < 0.5:
+            metric = _renamed(rng, metric)
         try:
             to_sql(metric, "d", split)
             assert_backend_equal(metric, table, split)  # compute_on runs first
@@ -41,7 +61,15 @@ def test_random_trees_agree_in_both_backends():
         except AssertionError as err:
             pytest.fail(f"seed {seed}, split {split}: {metric}\n{err}")
         compared += 1
-    assert compared >= 1400
+    return compared
+
+
+def test_random_trees_agree_in_both_backends():
+    assert _compare_random_trees(3000) >= 1400
+
+
+def test_random_trees_over_the_sql_names_agree_in_both_backends():
+    assert _compare_random_trees(1500, SQL_NAMES, rename=True) >= 700
 
 
 def _compute_rows(metric, table, split) -> dict[tuple, float]:

@@ -177,20 +177,23 @@ class TestSqlMode:
         assert code == 0
         assert "UNNEST(GENERATE_ARRAY(1, 77))" in out
 
-    @pytest.mark.parametrize("csv, metric, split_by, name", [
-        (b"g,row_number\na,1\na,2\nb,4\n", "mean(row_number) | bootstrap(5)", "g",
-         "row_number"),
-        (b"g,sample_idx\na,1\na,2\nb,4\n", "mean(sample_idx) | bootstrap(5)", "g",
-         "sample_idx"),
+    @pytest.mark.parametrize("csv, metric, split_by", [
+        (b"g,row_number\na,1\na,2\nb,4\n", "mean(row_number) | bootstrap(5)", "g"),
+        (b"g,sample_idx\na,1\na,2\nb,4\n", "mean(sample_idx) | bootstrap(5)", "g"),
     ], ids=["read_row_number", "read_sample_idx"])
-    def test_bootstrap_rejects_its_own_column_names(self, capsys, tmp_path, csv, metric,
-                                                    split_by, name):
+    def test_bootstrap_reads_columns_named_like_its_own(self, capsys, tmp_path, csv, metric,
+                                                         split_by):
         path = tmp_path / "events.csv"
         path.write_bytes(csv)
-        code, out, err = run_cli(capsys, "--input", str(path), "--metric", metric,
-                                 "--split-by", split_by, "--mode", "sql")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and repr(name) in err
+        assert_sql_mode_agrees(capsys, path, metric, split_by)
+
+    @pytest.mark.parametrize("program, split_by", [
+        ('sum(lost) as "experiment" | distribution(experiment)', ""),
+        ('sum(lost) as "Region" | percent_change(experiment, "control")', "region"),
+        ('sum(lost) as "REGION" | bootstrap(5)', "region"),
+    ], ids=["child_experiment", "child_Region", "child_REGION"])
+    def test_value_named_like_a_key_agrees(self, capsys, fig2_csv_path, program, split_by):
+        assert_sql_mode_agrees(capsys, Path(fig2_csv_path), program, split_by)
 
     def test_split_column_named_rand_runs(self, capsys, tmp_path):
         path = tmp_path / "events.csv"
@@ -292,8 +295,8 @@ class TestErrors:
          "--mode", "sql"],
         ["--metric", "sum(lost); sum(lost)"],
         ["--metric", 'sum(lost) as "region"', "--split-by", "region"],
-        ["--metric", 'sum(lost) as "experiment" | distribution(experiment)'],
-        ["--metric", 'sum(lost) as "experiment" | distribution(experiment)', "--mode", "sql"],
+        ["--metric", 'sum(lost) | distribution(experiment) as "experiment"'],
+        ["--metric", 'sum(lost) | distribution(experiment) as "experiment"', "--mode", "sql"],
     ])
     def test_unbindable_program_is_user_error(self, capsys, fig2_csv_path, argv):
         code, out, err = run_cli(capsys, *argv, "--input", fig2_csv_path)

@@ -9,6 +9,7 @@ from slicemetrics import (
     BindError,
     Bootstrap,
     Count,
+    Dialect,
     Distribution,
     Jackknife,
     Max,
@@ -27,11 +28,12 @@ from slicemetrics import (
     combine,
     compute_on,
     pipe,
+    to_sql,
 )
 from slicemetrics.dsl import set_n_rep
 from slicemetrics.metrics import bind, columns_read, walk
 
-from helpers import random_pipeline, random_table
+from helpers import assert_backend_equal, random_pipeline, random_table
 
 
 class TestDefaultNames:
@@ -282,10 +284,11 @@ class TestBind:
         metric = Sum("x") | Distribution("h") | PercentChange("arm", "c") | Jackknife("unit")
         assert bind(metric, ["g"], self.COLUMNS) == ("g", "arm", "h")
         assert bind(Sum("x") / Count("x"), ()) == ()
-        # Composite operands are not frames of their own, so only the output's
-        # and each operation child's names must differ from the keys.
+        # Only the output's name must differ from its keys: the SQL renames
+        # an operand's or an operation child's value column where it must.
         operand = Sum("x").set_names(["g"]) * 2
         assert bind(operand | PercentChange("arm", "c"), ["2", "g"]) == ("2", "g", "arm")
+        assert bind(Sum("x").set_names(["arm"]) | PercentChange("arm", "c"), ()) == ("arm",)
 
     @pytest.mark.parametrize("metric, split", [
         (Sum("nope"), ()),
@@ -310,14 +313,28 @@ class TestBind:
         (Sum("x") + Bootstrap(3), ()),
         (Sum("x").set_names(["g"]), ("g",)),
         ((Sum("x") | Distribution("h")).set_names(["h"]), ()),
-        (Sum("x").set_names(["g"]) | Distribution("g"), ()),
-        (Sum("x").set_names(["arm"]) | PercentChange("arm", "c") | Bootstrap(3), ("g",)),
+        ((Sum("x") | PercentChange("arm", "c")).set_names(["arm"]), ()),
+        ((Sum("x") | Bootstrap(3)).set_names(["g"]), ("g",)),
     ])
     def test_bind_errors(self, metric, split):
         with pytest.raises(BindError):
             bind(metric, split, self.COLUMNS)
         with pytest.raises(BindError):
             bind(metric, split)
+
+    @pytest.mark.parametrize("metric, split", [
+        (Sum("x").set_names(["g"]) | Distribution("g"), ()),
+        (Sum("x").set_names(["arm"]) | PercentChange("arm", "c") | Bootstrap(3), ("g",)),
+        (Sum("x").set_names(["G"]), ("g",)),
+    ])
+    def test_a_child_or_other_case_name_like_a_key_binds(self, metric, split):
+        # Names compare exactly, and an operation child's value is no output
+        # column: the SQL names its column inside the CTE.
+        t = Table.from_dict({"g": ["a", "b", "a"], "arm": ["c", "t", "t"], "x": [1, 2, 4]})
+        assert bind(metric, split, t.schema) == compute_on(metric, t, split).key_columns
+        for dialect in Dialect:
+            to_sql(metric, "d", split, dialect)
+        assert_backend_equal(metric, t, split)
 
     def test_columns_read_is_every_name_bind_checks(self):
         metric = (Quantile("x", 0.9) + 1) | Distribution("h") | PercentChange("arm", "c")

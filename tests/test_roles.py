@@ -4,7 +4,8 @@ A bad value raises one ``BindError`` with one text from the constructor and
 from ``dataclasses.replace``; the DSL raises a ``DslError`` with the same
 text at the argument's position, and the CLI exits 1. The entry points
 (``compute_on``, ``to_sql``, ``combine``, ``pipe``, ``set_names``) refuse a
-non-metric the same way.
+non-metric the same way, and ``compute_on``, ``to_sql`` and ``read_csv`` a
+table, table name, split or CSV source of the wrong type.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import pytest
 
 from slicemetrics import (
     AbsoluteChange, BindError, Bootstrap, Composite, Distribution, DslError, Jackknife,
-    PercentChange, Quantile, ScalarLiteral, Sum, Table, compute_on, parse, pipe, to_sql,
+    ParseError, PercentChange, Quantile, ScalarLiteral, Sum, Table, compute_on, parse, pipe,
+    read_csv, to_sql,
 )
 from slicemetrics.cli import main
 from slicemetrics.dsl import set_n_rep
@@ -149,6 +151,23 @@ TABLE = Table.from_dict({"g": ["a", "b"], "x": [1.0, 2.0]})
         "pipe_number", "set_names_number", "set_n_rep_zero"])
 def test_entry_points_refuse_a_non_metric(call, message):
     assert _raises_exactly(BindError, call) == message
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: to_sql(Sum("x"), 3), BindError, "to_sql data must be a table name, got 3"),
+    (lambda: compute_on(Sum("x"), {"x": [1]}), BindError,
+     "compute_on table must be a Table, got dict"),
+    (lambda: read_csv("g,x\n1,2"), ParseError,
+     "CSV source must be bytes or a binary file, got str"),
+    (lambda: to_sql(Sum("x"), "d", "gh"), BindError,
+     "split_by must be a list or tuple of column names, got 'gh'"),
+    (lambda: compute_on(Sum("x"), TABLE, "g"), BindError,
+     "split_by must be a list or tuple of column names, got 'g'"),
+], ids=["to_sql_data_number", "compute_on_dict", "read_csv_text", "to_sql_split_text",
+        "compute_on_split_text"])
+def test_entry_points_refuse_a_bad_argument(call, error, message):
+    # A str split_by is refused, not read as one name: checks convert nothing.
+    assert _raises_exactly(error, call) == message
 
 
 @pytest.mark.parametrize("build", [

@@ -34,9 +34,7 @@ from slicemetrics import (
     to_sql,
 )
 from slicemetrics.metrics import ScalarLiteral, bind, walk
-from slicemetrics.sqlgen import (
-    _BOOTSTRAP_COLUMNS, resample_n_times_sql, sql_aggregate, sql_expr,
-)
+from slicemetrics.sqlgen import resample_n_times_sql, sql_aggregate, sql_expr
 from slicemetrics.table import Column, resample_with_replacement
 
 from helpers import (
@@ -476,34 +474,74 @@ class TestBootstrapEquivalence:
         (Mean("x").set_names(["sample_idx"]) | Bootstrap(5), {"g": ["a", "a", "b"]}, ("g",)),
     ], ids=["read_row_number", "read_sample_idx", "split_replicate_state",
             "read_slice_size", "value_sample_idx"])
-    def test_input_columns_named_like_its_own_are_rejected(self, metric, columns, split):
-        # Unchecked, the first gave no rows at all, the second an ambiguous
-        # column in sqlite.
+    def test_named_like_its_own_agrees(self, metric, columns, split):
+        # Named as the input's, the first gave no rows at all and the second
+        # an ambiguous column in sqlite; each of its own takes a free name.
         values = [1.0, 2.0, 4.0]
         t = Table.from_dict({"x": values, "row_number": values, "sample_idx": values,
                              "slice_size": values, **columns})
-        assert compute_on(metric, t, split).rows
         for dialect in Dialect:
-            with pytest.raises(UnsupportedInDialect, match="rename"):
-                to_sql(metric, "d", split, dialect)
+            to_sql(metric, "d", split, dialect)
+        assert_backend_equal(metric, t, split)
 
-    def test_reserved_names_are_the_bootstrap_sql_columns(self):
+    def test_its_own_columns_take_the_first_free_name(self):
         # The column aliases of the bootstrap SQL and the replicate series'
-        # column list, other than the metric's values, are the set the input
-        # is checked against.
-        metric = Mean("x") | Distribution("h") | PercentChange("arm", "c") | Bootstrap(3)
-        values = {node.names()[0] for node in walk(metric)}
-        for dialect in Dialect:
-            text = to_sql(metric, "d", ("g",), dialect).render()
+        # column list, other than the metric's values, are its four roles'
+        # names, each moved to the first free suffix by a split or read
+        # column of its name in any case.
+        def added(metric, split, dialect):
+            values = {node.names()[0] for node in walk(metric)}
+            text = to_sql(metric, "d", split, dialect).render()
             found = re.findall(r" AS ([a-z_0-9]+)\b|Replicates\((\w+), (\w+)\) AS", text)
-            assert {name for names in found for name in names if name} - values == (
-                _BOOTSTRAP_COLUMNS)
+            return {name for names in found for name in names if name} - values
+
+        roles = {"row_number", "slice_size", "sample_idx", "replicate_state"}
+        metric = Mean("x") | Distribution("h") | PercentChange("arm", "c") | Bootstrap(3)
+        clashing = (Mean("ROW_NUMBER") + Mean("Row_Number2")) | Bootstrap(3)
+        for dialect in Dialect:
+            assert added(metric, ("g",), dialect) == roles
+            assert added(clashing, ("Sample_Idx",), dialect) == {
+                "row_number3", "slice_size", "sample_idx2", "replicate_state"}
 
     def test_grouped_bootstrap_executes(self, mixed):
         q = to_sql(Mean("v") | Bootstrap(60, seed=5), "d", ("g",), PORTABLE)
         rows = execute_query(q, {"d": mixed})
         assert set(rows) == {("a",), ("b",)}
         assert all(v[0] >= 0 or math.isnan(v[0]) for v in rows.values())
+
+
+class TestColumnNames:
+    # A value column inside a CTE takes its metric's name, or the first free
+    # name2, name3, ... where a key column of the CTE has it in any case, as
+    # the bootstrap's own columns do against the split and read columns.
+    # sqlite reads names without case, so each tree below gave a wrong answer
+    # or an error before.
+    ROWS = {"g": ["a", "b", "a", "b"], "arm": ["c", "t", "t", "c"], "x": [1, 2, 3, 5]}
+
+    @pytest.mark.parametrize("metric, split, renamed", [
+        (Sum("x").set_names(["G"]) | PercentChange("arm", "c"), ("g",), {}),
+        (Sum("x").set_names(["Arm"]) | Distribution("arm"), (), {}),
+        (Sum("x").set_names(["G"]) | Bootstrap(4), ("g",), {}),
+        (Sum("Row_Number") | Bootstrap(5), ("g",), {"x": "Row_Number"}),
+        (Sum("x") | Bootstrap(5), ("SAMPLE_IDX",), {"g": "SAMPLE_IDX"}),
+        (Sum("x").set_names(["Sample_Idx"]) | Bootstrap(5), ("g",), {}),
+    ], ids=["change_value_G", "distribution_value_Arm", "bootstrap_value_G",
+            "read_Row_Number", "split_SAMPLE_IDX", "bootstrap_value_Sample_Idx"])
+    def test_taken_in_any_case_agrees(self, metric, split, renamed):
+        t = Table.from_dict({renamed.get(k, k): v for k, v in self.ROWS.items()})
+        for dialect in Dialect:
+            to_sql(metric, "d", split, dialect)
+        assert_backend_equal(metric, t, split)
+
+    def test_only_a_taken_name_moves(self):
+        # The final SELECT names the value as written; T's G would be T's g.
+        metric = Sum("x").set_names(["G"]) | PercentChange("arm", "c")
+        text = to_sql(metric, "d", ("g",)).text
+        assert text.startswith("WITH T AS (SELECT g, arm, SUM(x) AS G2 FROM d GROUP BY g, arm),\n"
+                               "Base AS (SELECT g, G2 FROM T WHERE arm = 'c')\n")
+        assert text.endswith(" END AS pct_change_of_G FROM T LEFT JOIN Base ON T.g IS Base.g"
+                             " ORDER BY 1, 2")
+        assert "SUM(x) AS G FROM d" in to_sql(metric, "d", ("h",)).text
 
 
 class TestZeroDenominators:

@@ -473,6 +473,20 @@ class TestCodes:
             assert {(i, j) for i in range(n) for j in range(n) if codes[i] == codes[j]} == ties
             con.close()
 
+    def test_a_take_shares_the_text_ranks(self):
+        # A bootstrap replicate is a take: it must not rank the levels again.
+        rng = random.Random(35)
+        pool = [None, "b", "B", "é", "a b", "", "10", "9", "\U0001f600"]
+        for _ in range(100):
+            n = rng.randint(1, 15)
+            col = Column.from_cells("c", [rng.choice(pool) for _ in range(n - 1)] + ["b"])
+            rows = np.array([rng.randrange(n) for _ in range(rng.randint(0, 2 * n))],
+                            dtype=np.intp)
+            taken = col.take(rows)
+            assert taken.ranks is col.ranks
+            assert taken.codes[0].tolist() == col.codes[0][rows].tolist()
+            assert taken.values == tuple(col.values[i] for i in rows)
+
 
 class TestGroupRows:
     def test_figure_table_by_region(self, fig2):
